@@ -94,7 +94,9 @@ def transform(graph: str, encoding: str, output: str | None) -> None:
 @main.command()
 @click.argument("graph", type=click.Path(exists=True))
 @click.option("--encoding", type=click.Choice(["glob", "loc"]), default="glob")
-@click.option("--layers", type=int, default=None, help="Bound the iteration count.")
+@click.option(
+    "--layers", type=click.IntRange(min=0), default=None, help="Bound the iteration count."
+)
 @click.option("-o", "--output", type=click.Path())
 def refine(graph: str, encoding: str, layers: int | None, output: str | None) -> None:
     """Run colour refinement and emit the per-layer partitions."""
@@ -120,7 +122,7 @@ def refine(graph: str, encoding: str, layers: int | None, output: str | None) ->
 @click.option("--b", "graph_b", type=click.Path(exists=True), required=True)
 @click.option("--node-b", required=True)
 @click.option("--mode", type=click.Choice(["global", "local", "both"]), default="both")
-@click.option("--layers", type=int, default=None)
+@click.option("--layers", type=click.IntRange(min=0), default=None)
 def compare(graph_a, node_a, graph_b, node_b, mode, layers) -> None:
     """Distinguishability verdict for one pair of timestamped nodes."""
     tg1, tg2 = _load_graph(graph_a), _load_graph(graph_b)

@@ -8,15 +8,24 @@ separating layer is recorded so fixed-depth networks can be emulated.
 
 Cross-graph comparison needs no time alignment: relation labels are time
 differences shared by value across the union.
+
+The single-pair queries (`distinguishable_*`, `classify_pair`) take the
+reference path: they build both `KnowledgeGraph` encodings, their tagged
+union and a `Colouring`. `classify_all` compiles the union straight to the
+kernel's arrays (`kgraph.union_arrays`) and reads every pair's first
+separating layer from the colour histories; the tests hold the two paths
+equal.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from tempowl import rwl
 from tempowl.errors import UnknownNode
-from tempowl.kgraph import disjoint_union, k_glob, k_loc
+from tempowl.kgraph import disjoint_union, k_glob, k_loc, union_arrays, union_node
 from tempowl.tgraph import TemporalGraph, TimestampedNode
 
 PAIR_CLASSES = ("both", "global_only", "local_only", "neither")
@@ -36,15 +45,6 @@ def _check_node(tg: TemporalGraph, tn: TimestampedNode) -> None:
         raise UnknownNode(f"{tn} is not a timestamped node of this graph")
 
 
-def _union_colouring(tg1, tg2, encode, max_layers):
-    merged, _ = disjoint_union(encode(tg1), encode(tg2))
-    return rwl.refine(merged, max_layers)
-
-
-def _tagged(origin: int, tn: TimestampedNode) -> TimestampedNode:
-    return TimestampedNode(f"{origin}:{tn.node}", tn.time_index)
-
-
 def _first_separating_layer(colouring, a, b):
     pa, pb = colouring.position(a), colouring.position(b)
     for layer, ids in enumerate(colouring.layers):
@@ -56,9 +56,10 @@ def _first_separating_layer(colouring, a, b):
 def _verdict(tg1, node1, tg2, node2, encode, mode, max_layers):
     _check_node(tg1, node1)
     _check_node(tg2, node2)
-    colouring = _union_colouring(tg1, tg2, encode, max_layers)
+    merged, _ = disjoint_union(encode(tg1), encode(tg2))
+    colouring = rwl.refine(merged, max_layers)
     layer = _first_separating_layer(
-        colouring, _tagged(0, node1), _tagged(1, node2)
+        colouring, union_node(0, node1), union_node(1, node2)
     )
     return Verdict(layer is not None, layer, mode)
 
@@ -89,14 +90,13 @@ def distinguishable_local(
     return _verdict(tg1, node1, tg2, node2, k_loc, "local", max_layers)
 
 
-def _combine(global_hit: bool, local_hit: bool) -> str:
-    if global_hit and local_hit:
-        return "both"
-    if global_hit:
-        return "global_only"
-    if local_hit:
-        return "local_only"
-    return "neither"
+# pair class by (separated globally, separated locally)
+_CLASS_OF = {
+    (True, True): "both",
+    (True, False): "global_only",
+    (False, True): "local_only",
+    (False, False): "neither",
+}
 
 
 def classify_pair(
@@ -108,7 +108,7 @@ def classify_pair(
     """Four-way class of one pair, with both refinements run to stabilisation."""
     g = distinguishable_global(tg1, node1, tg2, node2)
     l = distinguishable_local(tg1, node1, tg2, node2)
-    return _combine(g.distinguishable, l.distinguishable)
+    return _CLASS_OF[g.distinguishable, l.distinguishable]
 
 
 @dataclass(frozen=True)
@@ -123,30 +123,65 @@ class ClassifyResult:
     counts: dict[str, int]
 
 
+def _separating_layers(
+    layers: list[list[int]], row_pos: list[int], col_pos: list[int]
+) -> list[int | None]:
+    """First separating layer of every (row, column) pair, row-major.
+
+    Partitions only ever split, so the columns whose colour matches a row's
+    at layer l are a subset of those that match it at layer l - 1. Each row
+    starts at 0 for every column; each column that still matches at layer l
+    moves on to l + 1, or to None at the last stored layer. A pair's value
+    is thus the number of stored layers on which its two colours agree.
+    """
+    last = len(layers) - 1
+    matching = []  # per layer: colour -> indices of the columns of that colour
+    for layer in layers:
+        by_colour: dict[int, list[int]] = {}
+        for idx, p in enumerate(col_pos):
+            by_colour.setdefault(layer[p], []).append(idx)
+        matching.append(by_colour)
+    out: list[int | None] = []
+    for p in row_pos:
+        row: list[int | None] = [0] * len(col_pos)
+        for l, (layer, by_colour) in enumerate(zip(layers, matching)):
+            value = l + 1 if l < last else None
+            for idx in by_colour.get(layer[p], ()):
+                row[idx] = value
+        out.extend(row)
+    return out
+
+
 def classify_all(tg1: TemporalGraph, tg2: TemporalGraph) -> ClassifyResult:
     """Classify every cross pair from two shared refinement runs.
 
-    Both encodings are refined once on the disjoint union; pair extraction
-    then only reads colour histories, so the result matches (and is much
-    cheaper than) one classify_pair call per pair.
+    Each encoding's disjoint union is compiled straight to the kernel's CSR
+    arrays and refined once to stabilisation. A pair's first separating
+    layer is then the number of stored layers on which its two colours
+    agree, or None when they agree on the last one. The result equals one
+    classify_pair call per pair, which stays on the KnowledgeGraph path.
     """
-    glob = _union_colouring(tg1, tg2, k_glob, None)
-    loc = _union_colouring(tg1, tg2, k_loc, None)
     rows = tuple(tg1.timestamped_nodes())
     cols = tuple(tg2.timestamped_nodes())
-    classes = {}
-    global_layers = {}
-    local_layers = {}
-    counts = {name: 0 for name in PAIR_CLASSES}
-    for a in rows:
-        ta = _tagged(0, a)
-        for b in cols:
-            tb = _tagged(1, b)
-            gl = _first_separating_layer(glob, ta, tb)
-            ll = _first_separating_layer(loc, ta, tb)
-            cls = _combine(gl is not None, ll is not None)
-            classes[(a, b)] = cls
-            global_layers[(a, b)] = gl
-            local_layers[(a, b)] = ll
-            counts[cls] += 1
-    return ClassifyResult(rows, cols, classes, global_layers, local_layers, counts)
+    per_mode = []
+    for encoding in ("glob", "loc"):
+        nodes, indptr, srcs, rels, init = union_arrays(tg1, tg2, encoding)
+        layers, _ = rwl.refine_arrays(indptr, srcs, rels, init)
+        pos = {node: i for i, node in enumerate(nodes)}
+        per_mode.append(
+            _separating_layers(
+                layers, [pos[0, a] for a in rows], [pos[1, b] for b in cols]
+            )
+        )
+    glob, loc = per_mode
+    keys = list(product(rows, cols))
+    classes = [_CLASS_OF[g is not None, l is not None] for g, l in zip(glob, loc)]
+    tally = Counter(classes)
+    return ClassifyResult(
+        rows,
+        cols,
+        dict(zip(keys, classes)),
+        dict(zip(keys, glob)),
+        dict(zip(keys, loc)),
+        {name: tally[name] for name in PAIR_CLASSES},
+    )

@@ -12,6 +12,11 @@ where the edges land:
 
 Unordered source edges induce both directions, and parallel edges between one
 ordered node pair with distinct labels are allowed (and do occur).
+
+`union_arrays` compiles two temporal graphs straight to the refinement
+kernel's arrays for the disjoint union of their encodings; the
+`KnowledgeGraph` path (`k_glob`/`k_loc`, `disjoint_union`) stays the
+validated interchange form and the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -112,7 +117,8 @@ def k_loc(tg: TemporalGraph) -> KnowledgeGraph:
     )
 
 
-def _tagged(origin: int, tn: TimestampedNode) -> TimestampedNode:
+def union_node(origin: int, tn: TimestampedNode) -> TimestampedNode:
+    """The name `disjoint_union` gives node `tn` of its argument `origin` (0 or 1)."""
     return TimestampedNode(f"{origin}:{tn.node}", tn.time_index)
 
 
@@ -132,12 +138,12 @@ def disjoint_union(
     origin_map: dict[TimestampedNode, tuple[int, TimestampedNode]] = {}
     for k, kg in enumerate((kg1, kg2)):
         for tn in kg.nodes:
-            tagged = _tagged(k, tn)
+            tagged = union_node(k, tn)
             nodes.append(tagged)
             colours[tagged] = kg.colours[tn]
             origin_map[tagged] = (k, tn)
         for r, src, tgt in kg.edges:
-            edges.add((r, _tagged(k, src), _tagged(k, tgt)))
+            edges.add((r, union_node(k, src), union_node(k, tgt)))
     return (
         KnowledgeGraph(
             tuple(nodes),
@@ -147,6 +153,73 @@ def disjoint_union(
         ),
         origin_map,
     )
+
+
+def union_arrays(
+    tg1: TemporalGraph, tg2: TemporalGraph, encoding: str
+) -> tuple[list[tuple[int, TimestampedNode]], list[int], list[int], list[int], list[int]]:
+    """Kernel inputs of the disjoint union of two encodings, built from the graphs.
+
+    `encoding` is "glob" or "loc". The result equals, element for element,
+    ``rwl.kernel_inputs(disjoint_union(k(tg1), k(tg2)))`` with k the named
+    encoder, except that each node is given as (origin, node) rather than by
+    its tagged name. No knowledge graph and no per-edge object is built:
+    node (v, j) of graph k sits at ``offset_k + rank(v) * T_k + j``, where
+    rank(v) is v's place among the graph's sorted node ids, which is the
+    (origin, node, time) order the tagged union sorts in. Each node's
+    in-edges come out already sorted by (label, source): time differences
+    grow as the edge's snapshot index i falls, and within one snapshot the
+    sources follow their ranks. In both encodings the edge {u, v} of
+    snapshot i reaches (u, j) for every j >= i, labelled t_j - t_i; it comes
+    from (v, i) in the global encoding and from (v, j) in the local one.
+    """
+    if encoding not in ("glob", "loc"):
+        raise ValueError(f"unknown encoding {encoding!r}")
+    local = encoding == "loc"
+    graphs = []  # (offset, graph, sorted ids, adjacency[i][rank u] -> sorted ranks)
+    labels: set[int] = set()
+    offset = 0
+    for tg in (tg1, tg2):
+        ids = sorted(tg.node_ids)
+        rank = {v: r for r, v in enumerate(ids)}
+        adjacency = []
+        for i, snap in enumerate(tg.snapshots):
+            # sets, as in the encoders' edge sets: a self-loop adds one edge
+            nbrs: list[set[int]] = [set() for _ in ids]
+            for u, v in snap.edges:
+                if u not in rank or v not in rank:
+                    raise ValidationError(f"snapshot {i}: edge ({u}, {v}) leaves the nodes")
+                nbrs[rank[u]].add(rank[v])
+                nbrs[rank[v]].add(rank[u])
+            adjacency.append([sorted(s) for s in nbrs])
+            if snap.edges:
+                labels.update(t - tg.times[i] for t in tg.times[i:])
+        graphs.append((offset, tg, ids, adjacency))
+        offset += len(ids) * len(tg.times)
+    rel_id = {r: x for x, r in enumerate(sorted(labels))}
+
+    nodes: list[tuple[int, TimestampedNode]] = []
+    init: list[int] = []
+    colour_ids: dict[str, int] = {}
+    indptr = [0]
+    srcs: list[int] = []
+    rels: list[int] = []
+    for k, (offset, tg, ids, adjacency) in enumerate(graphs):
+        times = tg.times
+        n_times = len(times)
+        for u, name in enumerate(ids):
+            for j in range(n_times):
+                nodes.append((k, TimestampedNode(name, j)))
+                token = tg.snapshots[j].colours[name]
+                init.append(colour_ids.setdefault(token, len(colour_ids)))
+                for i in range(j, -1, -1):
+                    nb = adjacency[i][u]
+                    if nb:
+                        base = offset + (j if local else i)
+                        srcs.extend([base + w * n_times for w in nb])
+                        rels.extend([rel_id[times[j] - times[i]]] * len(nb))
+                indptr.append(len(srcs))
+    return nodes, indptr, srcs, rels, init
 
 
 def in_neighbourhood(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from tempowl.errors import LayerNotComputed, UnknownNode
+from tempowl.errors import LayerNotComputed, UnknownNode, ValidationError
 from tempowl.kgraph import KnowledgeGraph
 from tempowl.tgraph import TimestampedNode
 
@@ -88,16 +88,35 @@ def kernel_inputs(
     return nodes, indptr, srcs, rels, init
 
 
+def refine_arrays(
+    indptr: list[int],
+    srcs: list[int],
+    rels: list[int],
+    init: list[int],
+    max_layers: int | None = None,
+) -> tuple[list[list[int]], int | None]:
+    """Run the selected kernel on flattened inputs (see `kernel_inputs`).
+
+    Returns (layers, stable_at) with the meaning they have in `Colouring`.
+    The default bound of |nodes| rounds always reaches stabilisation: the
+    partition can strictly refine at most |nodes| - 1 times.
+    """
+    if max_layers is not None and max_layers < 0:
+        raise ValidationError(f"max_layers must not be negative, got {max_layers}")
+    n = len(init)
+    cap = max(1, n) if max_layers is None else max_layers
+    return _refine_rounds(n, indptr, srcs, rels, init, cap)
+
+
 def refine(kg: KnowledgeGraph, max_layers: int | None = None) -> Colouring:
     """Run refinement until stabilisation or for at most `max_layers` rounds.
 
-    The default bound of |nodes| rounds always reaches stabilisation: the
-    partition can strictly refine at most |nodes| - 1 times. Pass a smaller
-    bound to emulate networks with a fixed number of layers.
+    Without a bound the run always reaches stabilisation. Pass a smaller
+    bound to emulate networks with a fixed number of layers; a negative
+    bound raises ValidationError.
     """
     nodes, indptr, srcs, rels, init = kernel_inputs(kg)
-    cap = max(1, len(nodes)) if max_layers is None else max_layers
-    layers, stable_at = _refine_rounds(len(nodes), indptr, srcs, rels, init, cap)
+    layers, stable_at = refine_arrays(indptr, srcs, rels, init, max_layers)
     return Colouring(
         tuple(nodes), tuple(tuple(layer) for layer in layers), stable_at
     )

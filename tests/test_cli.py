@@ -121,6 +121,18 @@ def test_compare_layers_option_bounds_the_run(tmp_path):
     assert (deep["distinguishable"], deep["first_layer"]) == (True, 2)
 
 
+def test_negative_layers_is_usage_error(tmp_path):
+    path = _write_fixture(tmp_path / "g.json", "fig2")
+    pa, pb = _write_pair(tmp_path, "fig6_pair")
+    commands = (
+        ["refine", "--layers", "-1", path],
+        ["compare", "--a", pa, "--node-a", "a@2", "--b", pb, "--node-b", "a'@2",
+         "--layers", "-1"],
+    )
+    for args in commands:
+        assert CliRunner().invoke(main, args).exit_code == 2
+
+
 def test_compare_rejects_bad_node_refs(tmp_path):
     pa, pb = _write_pair(tmp_path, "fig6_pair")
     for ref in ("a@99", "z@2", "a", "a#notanumber"):

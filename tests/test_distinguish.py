@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
+from pairs import union_pairs
 from tempowl.distinguish import (
     classify_all,
     classify_pair,
@@ -88,13 +91,29 @@ def test_timewise_correspondence_classifies_neither():
 
 
 def test_classify_all_matches_per_pair_oracle():
-    a, b = fixture("fig5_pair")
-    result = classify_all(a, b)
-    assert set(result.counts) == {"both", "global_only", "local_only", "neither"}
-    assert sum(result.counts.values()) == len(result.rows) * len(result.cols)
-    for row in result.rows:
-        for col in result.cols:
-            assert result.classes[(row, col)] == classify_pair(a, row, b, col)
+    for a, b in union_pairs():
+        result = classify_all(a, b)
+        assert set(result.counts) == {"both", "global_only", "local_only", "neither"}
+        assert sum(result.counts.values()) == len(result.rows) * len(result.cols)
+        assert list(result.classes) == list(product(result.rows, result.cols))
+        for row in result.rows:
+            for col in result.cols:
+                assert result.classes[(row, col)] == classify_pair(a, row, b, col)
+                g = distinguishable_global(a, row, b, col)
+                l = distinguishable_local(a, row, b, col)
+                assert result.global_layers[(row, col)] == g.first_layer
+                assert result.local_layers[(row, col)] == l.first_layer
+
+
+def test_first_separating_layers_are_ints_or_none():
+    # edgeless, so refinement never splits and only layer 0 is stored
+    never_split = random_tg(0, nodes=4, snapshots=1, edge_prob=0.0, palette=("g", "b"))
+    result = classify_all(never_split, never_split)
+    assert set(result.global_layers.values()) == {0, None}
+    for a, b in [*union_pairs(), (never_split, never_split)]:
+        result = classify_all(a, b)
+        for layers in (result.global_layers, result.local_layers):
+            assert all(type(v) is int or v is None for v in layers.values())
 
 
 def test_classify_all_self_diagonal_is_neither():

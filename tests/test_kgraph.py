@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from pairs import union_pairs
+from tempowl import rwl
 from tempowl.gen import fixture, random_tg
 from tempowl.errors import UnknownNode
 from tempowl.kgraph import (
@@ -15,6 +17,7 @@ from tempowl.kgraph import (
     k_loc,
     temporal_neighbourhood,
     to_dict,
+    union_arrays,
 )
 from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN
 
@@ -181,6 +184,21 @@ def test_disjoint_union_node_count_is_sum():
     a, b = fixture("fig6_pair")
     merged, _ = disjoint_union(k_loc(a), k_loc(b))
     assert len(merged.nodes) == len(k_loc(a).nodes) + len(k_loc(b).nodes)
+
+
+@pytest.mark.parametrize("encoding, encode", [("glob", k_glob), ("loc", k_loc)])
+def test_union_arrays_match_kernel_inputs_of_tagged_union(encoding, encode):
+    for tg1, tg2 in union_pairs():
+        merged, origin_map = disjoint_union(encode(tg1), encode(tg2))
+        nodes, indptr, srcs, rels, init = rwl.kernel_inputs(merged)
+        compiled = union_arrays(tg1, tg2, encoding)
+        assert compiled[0] == [origin_map[tn] for tn in nodes]
+        assert compiled[1:] == (indptr, srcs, rels, init)
+
+
+def test_union_arrays_reject_an_unknown_encoding():
+    with pytest.raises(ValueError):
+        union_arrays(fixture("fig2"), fixture("fig3"), "both")
 
 
 def test_kg_json_round_trip():

@@ -8,7 +8,8 @@ import pytest
 
 from oracles import naive_refinement_partitions, refines
 from tempowl import rwl
-from tempowl.errors import LayerNotComputed, UnknownNode
+from tempowl.distinguish import distinguishable_global
+from tempowl.errors import LayerNotComputed, UnknownNode, ValidationError
 from tempowl.gen import fixture, random_tg
 from tempowl.kgraph import KnowledgeGraph, disjoint_union, k_glob, k_loc
 from tempowl.tgraph import TimestampedNode as TN
@@ -89,6 +90,16 @@ def test_stabilisation_bound():
         colouring = rwl.refine(kg)
         assert colouring.stable_at is not None
         assert colouring.stable_at <= len(kg.nodes)
+
+
+def test_negative_layer_bound_is_rejected():
+    tg = fixture("fig2")
+    with pytest.raises(ValidationError):
+        rwl.refine(k_glob(tg), -1)
+    with pytest.raises(ValidationError):
+        distinguishable_global(tg, TN("a", 0), tg, TN("b", 0), max_layers=-3)
+    zero = rwl.refine(k_glob(tg), 0)
+    assert (len(zero.layers), zero.stable_at) == (1, None)
 
 
 def test_refine_is_deterministic():
