@@ -17,7 +17,7 @@ import sys
 import click
 
 from tempowl import distinguish, gen, iso, kgraph, properties, rwl, tgnn, tgraph
-from tempowl.errors import TempowlError
+from tempowl.errors import TempowlError, ValidationError
 from tempowl.tgraph import TimestampedNode, node_key
 
 
@@ -297,7 +297,10 @@ def gen_command(
 @click.option("--jobs", type=int, default=None, help="Worker pool size (capped by TEMPOWL_THREADS).")
 def fuzz(property_name, trials, seed, jobs) -> None:
     """Fuzz one property; exit 1 with the minimal reproducing seed on violation."""
-    report = properties.run_property(property_name, trials, seed, jobs)
+    try:
+        report = properties.run_property(property_name, trials, seed, jobs)
+    except ValidationError as exc:  # a bad TEMPOWL_THREADS
+        raise click.UsageError(str(exc)) from None
     _emit(
         {
             "property": report.property,
@@ -316,8 +319,13 @@ def fuzz(property_name, trials, seed, jobs) -> None:
 @click.argument("events", type=click.Path(exists=True))
 def stats(events) -> None:
     """Node/edge/step counts of a CSV event file."""
-    with open(events, encoding="utf-8") as handle:
-        rows = tgraph.events_from_csv(handle.read())
+    try:
+        with open(events, encoding="utf-8") as handle:
+            rows = tgraph.events_from_csv(handle.read())
+        tgraph.reject_self_loops(rows)
+    except TempowlError as exc:
+        _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
+        sys.exit(1)
     nodes = {x for u, v, _ in rows for x in (u, v)}
     steps = {t for _, _, t in rows}
     _emit({"nodes": len(nodes), "edges": len(rows), "steps": len(steps)}, None)

@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from tempowl.errors import UnknownNode, ValidationError
+from tempowl.errors import MissingColour, UnknownNode, ValidationError
 from tempowl.tgraph import TemporalGraph, TimestampedNode
 
 Edge = tuple[int, TimestampedNode, TimestampedNode]
@@ -73,12 +73,21 @@ class KnowledgeGraph:
         return self._in_index.get(node, [])
 
 
+def _missing_colour(tg: TemporalGraph, v: str) -> MissingColour:
+    """The error `tgraph.validate` raises for the first snapshot without v."""
+    i = next(i for i, snap in enumerate(tg.snapshots) if v not in snap.colours)
+    return MissingColour(f"snapshot {i}: no colour for node {v!r}")
+
+
 def _colour_map(tg: TemporalGraph) -> dict[TimestampedNode, str]:
-    return {
-        TimestampedNode(v, i): snap.colours[v]
-        for i, snap in enumerate(tg.snapshots)
-        for v in tg.node_ids
-    }
+    try:
+        return {
+            TimestampedNode(v, i): snap.colours[v]
+            for i, snap in enumerate(tg.snapshots)
+            for v in tg.node_ids
+        }
+    except KeyError as exc:
+        raise _missing_colour(tg, exc.args[0]) from None
 
 
 def k_glob(tg: TemporalGraph) -> KnowledgeGraph:
@@ -210,7 +219,10 @@ def union_arrays(
         for u, name in enumerate(ids):
             for j in range(n_times):
                 nodes.append((k, TimestampedNode(name, j)))
-                token = tg.snapshots[j].colours[name]
+                try:
+                    token = tg.snapshots[j].colours[name]
+                except KeyError:
+                    raise _missing_colour(tg, name) from None
                 init.append(colour_ids.setdefault(token, len(colour_ids)))
                 for i in range(j, -1, -1):
                     nb = adjacency[i][u]

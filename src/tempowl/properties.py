@@ -20,6 +20,7 @@ from tempowl.distinguish import (
     distinguishable_global,
     distinguishable_local,
 )
+from tempowl.errors import ValidationError
 from tempowl.gen import Xorshift64Star, derive_seed, fixture, permuted_copy, random_tg
 from tempowl.iso import pointwise_iso
 from tempowl.kgraph import disjoint_union, k_glob, k_loc
@@ -337,7 +338,12 @@ PROPERTY_NAMES = tuple(
 
 def _resolve_jobs(jobs: int | None) -> int:
     env = os.environ.get("TEMPOWL_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    if not env:
+        cap = os.cpu_count() or 1
+    elif env.strip().isdecimal() and int(env) > 0:
+        cap = int(env)
+    else:
+        raise ValidationError(f"TEMPOWL_THREADS must be a positive integer, got {env!r}")
     if jobs is None:
         jobs = cap
     return max(1, min(jobs, cap))

@@ -11,8 +11,9 @@ sweep (nodes sorted by (node id, time index)), which makes runs bit-identical.
 Refining a disjoint union interns into one shared table, so colour ids are
 directly comparable across the two origins.
 
-The per-layer kernel is compiled (Cython) when the extension built, with a
-pure-Python fallback selected at import; REFINE_BACKEND records the choice.
+Everything runs through one pure-Python kernel, `_refine_rounds`, over flat
+integer arrays: a CSR layout of each node's incoming edges plus the dense
+layer-0 colour ids (see `kernel_inputs`).
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from tempowl.errors import LayerNotComputed, UnknownNode, ValidationError
 from tempowl.kgraph import KnowledgeGraph
 from tempowl.tgraph import TimestampedNode
 
-try:
-    from tempowl._refine_core import refine_rounds as _refine_rounds
-
-    REFINE_BACKEND = "compiled"
-except ImportError:  # extension not built on this install
-    from tempowl._refine_py import refine_rounds as _refine_rounds
-
-    REFINE_BACKEND = "pure-python"
+# Recorded with every benchmark result, which refuses to compare mixed kernels.
+REFINE_BACKEND = "pure-python"
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,8 @@ def kernel_inputs(
     """Flatten a knowledge graph into the arrays the kernels consume.
 
     Returns (nodes in sweep order, CSR indptr, edge sources, dense relation
-    ids, dense layer-0 colour ids). Exposed so the benchmark can drive both
-    kernels on identical inputs.
+    ids, dense layer-0 colour ids). `kgraph.union_arrays` must produce these
+    same arrays for a disjoint union; the tests hold the two equal.
     """
     nodes = sorted(kg.nodes)
     pos = {tn: i for i, tn in enumerate(nodes)}
@@ -88,6 +83,53 @@ def kernel_inputs(
     return nodes, indptr, srcs, rels, init
 
 
+def _refine_rounds(
+    n: int,
+    indptr: list[int],
+    srcs: list[int],
+    rels: list[int],
+    init: list[int],
+    max_layers: int,
+) -> tuple[list[list[int]], int | None]:
+    """Iterate colour refinement until the partition stops splitting.
+
+    Each layer maps every node to a dense id assigned in first-encounter
+    order over the node sweep 0..n-1. Because consecutive layers with equal
+    partitions then produce elementwise-equal arrays, stabilisation is a
+    plain array comparison; the duplicate layer is not stored.
+
+    Returns (layers, stable_at) where layers[0] is `init` and stable_at is
+    None when `max_layers` ran out before a repeat was seen.
+    """
+    layers = [list(init)]
+    cur = layers[0]
+    stable_at = None
+    for _ in range(max_layers):
+        table: dict[tuple, int] = {}
+        new = [0] * n
+        for v in range(n):
+            sig = (
+                cur[v],
+                tuple(
+                    sorted(
+                        (cur[srcs[e]], rels[e])
+                        for e in range(indptr[v], indptr[v + 1])
+                    )
+                ),
+            )
+            cid = table.get(sig)
+            if cid is None:
+                cid = len(table)
+                table[sig] = cid
+            new[v] = cid
+        if new == cur:
+            stable_at = len(layers) - 1
+            break
+        layers.append(new)
+        cur = new
+    return layers, stable_at
+
+
 def refine_arrays(
     indptr: list[int],
     srcs: list[int],
@@ -95,7 +137,7 @@ def refine_arrays(
     init: list[int],
     max_layers: int | None = None,
 ) -> tuple[list[list[int]], int | None]:
-    """Run the selected kernel on flattened inputs (see `kernel_inputs`).
+    """Run the kernel on flattened inputs (see `kernel_inputs`).
 
     Returns (layers, stable_at) with the meaning they have in `Colouring`.
     The default bound of |nodes| rounds always reaches stabilisation: the
@@ -105,6 +147,7 @@ def refine_arrays(
         raise ValidationError(f"max_layers must not be negative, got {max_layers}")
     n = len(init)
     cap = max(1, n) if max_layers is None else max_layers
+    # a global lookup on purpose: the traced benchmark rebinds `_refine_rounds`
     return _refine_rounds(n, indptr, srcs, rels, init, cap)
 
 

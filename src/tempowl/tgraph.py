@@ -208,6 +208,13 @@ def from_aggregated(
     return TemporalGraph(agg.nodes, tuple(times), tuple(snapshots))
 
 
+def reject_self_loops(events: Iterable[tuple[str, str, int]]) -> None:
+    """Raise SelfLoop for the first (u, v, t) event with u == v."""
+    for u, v, _ in events:
+        if u == v:
+            raise SelfLoop(f"event has equal endpoints {u!r}")
+
+
 def from_events(
     events: Iterable[tuple[str, str, int]], default_colour: str
 ) -> TemporalGraph:
@@ -219,9 +226,7 @@ def from_events(
     events = list(events)
     if not events:
         raise EmptyEdgeSet("no events")
-    for u, v, _ in events:
-        if u == v:
-            raise SelfLoop(f"event has equal endpoints {u!r}")
+    reject_self_loops(events)
     nodes = tuple(sorted({x for u, v, _ in events for x in (u, v)}))
     times = tuple(sorted({t for _, _, t in events}))
     colours = {v: default_colour for v in nodes}

@@ -77,7 +77,7 @@ def test_refine_reports_partitions(tmp_path):
     )
     assert result.exit_code == 0
     payload = json.loads(result.output)
-    assert payload["backend"] in ("compiled", "pure-python")
+    assert payload["backend"] == "pure-python"
     assert len(payload["partitions"]) >= 1
     assert all(isinstance(group, list) for group in payload["partitions"][0])
 
@@ -260,6 +260,15 @@ def test_fuzz_unknown_property_is_usage_error():
     assert result.exit_code == 2
 
 
+def test_fuzz_bad_thread_cap_is_usage_error(monkeypatch):
+    monkeypatch.setenv("TEMPOWL_THREADS", "abc")
+    result = CliRunner().invoke(
+        main, ["fuzz", "--property", "theorem9", "--trials", "5"]
+    )
+    assert result.exit_code == 2
+    assert "TEMPOWL_THREADS must be a positive integer" in result.output
+
+
 def test_stats_counts_fig3_events(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(
@@ -269,3 +278,16 @@ def test_stats_counts_fig3_events(tmp_path):
     result = CliRunner().invoke(main, ["stats", str(path)])
     assert result.exit_code == 0
     assert json.loads(result.output) == {"nodes": 3, "edges": 4, "steps": 3}
+
+
+def test_stats_reports_bad_events_as_errors(tmp_path):
+    path = tmp_path / "events.csv"
+    cases = (
+        ("u,v,t\na,a,1\na,b,2\n", "SelfLoop"),
+        ("a,b,c\n", "ValidationError"),
+    )
+    for text, error in cases:
+        path.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(main, ["stats", str(path)])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == error

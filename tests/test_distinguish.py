@@ -13,10 +13,11 @@ from tempowl.distinguish import (
     distinguishable_global,
     distinguishable_local,
 )
-from tempowl.errors import UnknownNode
+from tempowl.errors import MissingColour, UnknownNode
 from tempowl.gen import fixture, random_tg
 from tempowl.iso import timewise_iso
-from tempowl.tgraph import TimestampedNode as TN
+from tempowl.kgraph import k_glob, k_loc
+from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN
 
 
 def test_colour_drift_pair_is_global_only():
@@ -175,3 +176,25 @@ def test_unknown_nodes_are_rejected():
         distinguishable_global(tg, TN("z", 0), tg, TN("a", 0))
     with pytest.raises(UnknownNode):
         distinguishable_local(tg, TN("a", 0), tg, TN("a", 9))
+
+
+def test_missing_snapshot_colour_is_a_typed_error():
+    # built without validate: snapshot 1 gives no colour for b
+    tg = TemporalGraph(
+        ("a", "b"),
+        (1, 2),
+        (
+            Snapshot({"a": "g", "b": "g"}, frozenset({("a", "b")})),
+            Snapshot({"a": "g"}, frozenset()),
+        ),
+    )
+    calls = (
+        lambda: classify_all(tg, fixture("fig2")),
+        lambda: classify_all(fixture("fig2"), tg),
+        lambda: classify_pair(tg, TN("a", 0), tg, TN("b", 0)),
+        lambda: k_glob(tg),
+        lambda: k_loc(tg),
+    )
+    for call in calls:
+        with pytest.raises(MissingColour, match="snapshot 1: no colour for node 'b'"):
+            call()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tempowl import properties
+from tempowl.errors import ValidationError
 
 
 def test_unknown_property_rejected():
@@ -35,6 +36,10 @@ def test_thread_cap_env(monkeypatch):
     monkeypatch.setenv("TEMPOWL_THREADS", "1")
     assert properties._resolve_jobs(None) == 1
     assert properties._resolve_jobs(8) == 1
+    for bad in ("abc", "0", "-1", "1.5"):
+        monkeypatch.setenv("TEMPOWL_THREADS", bad)
+        with pytest.raises(ValidationError, match="TEMPOWL_THREADS"):
+            properties._resolve_jobs(None)
     monkeypatch.delenv("TEMPOWL_THREADS")
     assert properties._resolve_jobs(1) == 1
 

@@ -92,6 +92,27 @@ def test_stabilisation_bound():
         assert colouring.stable_at <= len(kg.nodes)
 
 
+def test_kernel_layer_contract():
+    kgs = [k(fixture(name)) for name in ("fig2", "fig3") for k in (k_glob, k_loc)]
+    kgs += [random_kg(seed, 3 + seed % 10) for seed in range(30)]
+    for kg in kgs:
+        for bound in (None, 0, 1, 2):
+            colouring = rwl.refine(kg, bound)
+            for layer in colouring.layers:
+                # dense ids, handed out in first-encounter order over the sweep
+                top = -1
+                for cid in layer:
+                    assert cid <= top + 1
+                    top = max(top, cid)
+            for coarser, finer in zip(colouring.layers, colouring.layers[1:]):
+                # each stored layer strictly refines the one before it
+                parent = dict(zip(finer, coarser))
+                assert all(parent[f] == c for f, c in zip(finer, coarser))
+                assert len(parent) > len(set(coarser))
+            if colouring.stable_at is not None:
+                assert colouring.stable_at == len(colouring.layers) - 1
+
+
 def test_negative_layer_bound_is_rejected():
     tg = fixture("fig2")
     with pytest.raises(ValidationError):
