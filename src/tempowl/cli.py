@@ -206,14 +206,18 @@ def iso_command(graph_a, graph_b, kind, max_nodes) -> None:
     "--variant", type=click.Choice(list(tgnn.VARIANTS)), default="sum_sign"
 )
 @click.option("--seed", type=int, default=0)
-@click.option("--layers", type=int, default=2)
-@click.option("--width", type=int, default=8)
+@click.option("--layers", type=click.IntRange(min=0), default=2)
+@click.option("--width", type=click.IntRange(min=1), default=8)
 @click.option("-o", "--output", type=click.Path())
 def simulate(graph, mode, variant, seed, layers, width, output) -> None:
     """Exact integer forward pass; emits all per-layer embeddings."""
-    tg = _load_graph(graph)
-    cfg = tgnn.ModelConfig(mode, layers, width, variant, seed)
-    state = tgnn.forward(tg, cfg)
+    try:
+        state = tgnn.forward(
+            _load_graph(graph), tgnn.ModelConfig(mode, layers, width, variant, seed)
+        )
+    except TempowlError as exc:
+        _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
+        sys.exit(1)
 
     def as_json(value):
         return list(value) if isinstance(value, tuple) else value
@@ -292,9 +296,14 @@ def gen_command(
     type=click.Choice(list(properties.PROPERTY_NAMES)),
     required=True,
 )
-@click.option("--trials", type=int, default=100)
+@click.option("--trials", type=click.IntRange(min=1), default=100)
 @click.option("--seed", type=int, default=0)
-@click.option("--jobs", type=int, default=None, help="Worker pool size (capped by TEMPOWL_THREADS).")
+@click.option(
+    "--jobs",
+    type=click.IntRange(min=1),
+    default=None,
+    help="Worker pool size (capped by TEMPOWL_THREADS).",
+)
 def fuzz(property_name, trials, seed, jobs) -> None:
     """Fuzz one property; exit 1 with the minimal reproducing seed on violation."""
     try:

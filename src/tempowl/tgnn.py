@@ -11,7 +11,14 @@ flakiness. Weights are drawn from streams keyed by (seed, role, ...), which
 makes a run bit-identical for a given (graph, config) and, importantly,
 makes the same seed denote the same model across different graphs: colour
 embeddings are keyed by colour token and time coefficients by the raw time
-gap, never by per-graph indices.
+gap, never by per-graph indices. Being pure, the parameters are drawn once
+per (seed, width) through small bounded caches, so the two graphs of a
+comparison and both modes share one draw.
+
+Temporal neighbourhoods are built here, from the snapshot edge lists, in one
+sweep per graph. The simulator shares no code with the knowledge-graph
+encoders or the refinement engine, so it stays an independent cross-check
+of them.
 
 Variants:
 * sum_sign        — sign(W (h + sum of alpha-weighted messages) - b)
@@ -25,12 +32,13 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
 from typing import Callable
 
 from tempowl.errors import ConfigMismatch, LayerNotComputed, UnknownNode
 from tempowl.gen import Xorshift64Star, derive_seed
-from tempowl.kgraph import temporal_neighbourhood
-from tempowl.tgraph import TemporalGraph, TimestampedNode
+from tempowl.tgraph import TemporalGraph, TimestampedNode, missing_colour
 
 MODES = ("global", "local")
 VARIANTS = ("sum_sign", "concat_sum_relu", "hash_injective")
@@ -89,6 +97,14 @@ class EmbeddingState:
 
 
 # --- Seeded integer parameters ---------------------------------------------------
+#
+# Parameters are pure functions of their arguments and are drawn through
+# bounded caches: one draw serves every graph and both modes of a model. The
+# bound covers the models of one fuzz trial (ten seeds, a few layers, gaps
+# and colour tokens each) and keeps a long run from growing.
+
+_CACHE_SIZE = 256
+
 
 def _stream(seed: int, *tags) -> Xorshift64Star:
     return Xorshift64Star(derive_seed(seed, *tags))
@@ -101,41 +117,72 @@ def _entries(rng: Xorshift64Star, count: int) -> tuple[int, ...]:
 
 def _matrix(seed: int, tag: str, layer: int, rows: int, cols: int):
     rng = _stream(seed, "W", tag, layer)
-    return [_entries(rng, cols) for _ in range(rows)]
+    return tuple(_entries(rng, cols) for _ in range(rows))
 
 
-def _bias(seed: int, layer: int, width: int) -> tuple[int, ...]:
-    return _entries(_stream(seed, "b", layer), width)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _weights(seed: int, variant: str, layer: int, width: int):
+    """(W, b) of a sum_sign layer, or (W1, W2) of a concat_sum_relu layer."""
+    if variant == "sum_sign":
+        return (
+            _matrix(seed, "sum", layer, width, width),
+            _entries(_stream(seed, "b", layer), width),
+        )
+    return (
+        _matrix(seed, "agg", layer, width, width + 1),
+        _matrix(seed, "com", layer, width, 2 * width),
+    )
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _alpha(seed: int, gap: int) -> int:
     return _entries(_stream(seed, "alpha", gap), 1)[0]
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _colour_vector(seed: int, token: str, width: int) -> tuple[int, ...]:
     return _entries(_stream(seed, "x", token), width)
 
 
-# --- Integer vector helpers -------------------------------------------------------
+# --- Temporal neighbourhoods ---------------------------------------------------------
 
-def _vadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+def _neighbourhoods(tg: TemporalGraph) -> list[list[tuple[int, int]]]:
+    """Temporal neighbourhood of every timestamped node, in `timestamped_nodes()`
+    order, as (rank of u in `node_ids`, time index i) pairs in no set order.
+
+    (u, i) neighbours (v, j) iff i <= j and {u, v} is an edge of snapshot i,
+    so one sweep over the snapshots accumulates each node's set as j grows.
+    """
+    rank = {v: r for r, v in enumerate(tg.node_ids)}
+    seen: list[set[tuple[int, int]]] = [set() for _ in rank]
+    out = []
+    for i, snap in enumerate(tg.snapshots):
+        for a, b in snap.edges:
+            try:
+                ra, rb = rank[a], rank[b]
+            except KeyError as exc:
+                raise UnknownNode(
+                    f"snapshot {i}: edge endpoint {exc.args[0]!r} is unknown"
+                ) from None
+            seen[ra].add((rb, i))
+            seen[rb].add((ra, i))
+        out.extend(list(s) for s in seen)
+    return out
 
 
-def _scaled(k: int, a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(k * x for x in a)
+def _messages(tg: TemporalGraph, local: bool) -> list[list[tuple[int, int]]]:
+    """Per timestamped node, one (source position, time gap) pair per message.
 
-
-def _matvec(m, a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(w * x for w, x in zip(row, a)) for row in m)
-
-
-def _sign(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((x > 0) - (x < 0) for x in a)
-
-
-def _relu(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x if x > 0 else 0 for x in a)
+    Positions index `timestamped_nodes()`: neighbour (u, i) of (v, j) sends
+    from (u, i) in global mode and from (u, j) in local mode.
+    """
+    n, times = len(tg.node_ids), tg.times
+    nbhds = _neighbourhoods(tg)
+    return [
+        [((j if local else i) * n + u, times[j] - times[i]) for u, i in nbhds[p]]
+        for j in range(len(times))
+        for p in range(j * n, (j + 1) * n)
+    ]
 
 
 # --- Forward pass ------------------------------------------------------------------
@@ -143,89 +190,79 @@ def _relu(a: tuple[int, ...]) -> tuple[int, ...]:
 def forward(tg: TemporalGraph, cfg: ModelConfig) -> EmbeddingState:
     """Embeddings for every timestamped node at layers 0..cfg.layers."""
     tnodes = tg.timestamped_nodes()
-    nbhd = {
-        tn: sorted(temporal_neighbourhood(tg, tn.node, tn.time_index))
-        for tn in tnodes
-    }
+    try:
+        tokens = [snap.colours[v] for snap in tg.snapshots for v in tg.node_ids]
+    except KeyError as exc:
+        raise missing_colour(tg, exc.args[0]) from None
+    msgs = _messages(tg, cfg.mode == "local")
     if cfg.variant == "hash_injective":
-        layers = _forward_hash(tg, cfg, tnodes, nbhd)
+        layers = _forward_hash(cfg, tokens, msgs)
+    elif cfg.variant == "sum_sign":
+        layers = _forward_sum_sign(cfg, tokens, msgs)
     else:
-        layers = _forward_vectors(tg, cfg, tnodes, nbhd)
-    return EmbeddingState(cfg, tuple(tnodes), tuple(layers))
+        layers = _forward_concat_sum_relu(cfg, tokens, msgs)
+    return EmbeddingState(
+        cfg, tuple(tnodes), tuple(dict(zip(tnodes, layer)) for layer in layers)
+    )
 
 
-def _messages(cfg, tg, prev, tn, neighbours):
-    t = tg.times[tn.time_index]
-    msgs = []
-    for u, j in neighbours:
-        gap = t - tg.times[j]
-        carried = prev[(u, j)] if cfg.mode == "global" else prev[(u, tn.time_index)]
-        msgs.append((carried, gap))
-    return msgs
+# The layer loops below run over flat lists in `timestamped_nodes()` order.
+# Integer sums do not depend on the order of the messages.
 
-
-def _forward_vectors(tg, cfg, tnodes, nbhd):
-    d = cfg.width
-    zero = (0,) * d
-    layers = [
-        {tn: _colour_vector(cfg.seed, tg.colour_of(tn), d) for tn in tnodes}
-    ]
+def _forward_sum_sign(cfg, tokens, msgs):
+    seed, d = cfg.seed, cfg.width
+    alpha = {gap: _alpha(seed, gap) for gap in {g for m in msgs for _, g in m}}
+    sources = [[src for src, _ in m] for m in msgs]
+    # coefficient 1 for the node's own state, then one alpha per message
+    coefs = [(1, *[alpha[gap] for _, gap in m]) for m in msgs]
+    h = [_colour_vector(seed, token, d) for token in tokens]
+    layers = [h]
     for layer in range(1, cfg.layers + 1):
-        prev = layers[-1]
-        cur = {}
-        if cfg.variant == "sum_sign":
-            w = _matrix(cfg.seed, "sum", layer, d, d)
-            b = _bias(cfg.seed, layer, d)
-        else:
-            w1 = _matrix(cfg.seed, "agg", layer, d, d + 1)
-            w2 = _matrix(cfg.seed, "com", layer, d, 2 * d)
-        for tn in tnodes:
-            # sums over ints are order-free; sorting keeps the aggregation
-            # canonical in case a non-commutative AGG is ever plugged in
-            msgs = sorted(_messages(cfg, tg, prev, tn, nbhd[tn]))
-            if cfg.variant == "sum_sign":
-                acc = zero
-                for vec, gap in msgs:
-                    acc = _vadd(acc, _scaled(_alpha(cfg.seed, gap), vec))
-                cur[tn] = _sign(
-                    tuple(x - y for x, y in zip(_matvec(w, _vadd(prev[tn], acc)), b))
-                )
-            else:
-                acc = (0,) * (d + 1)
-                for vec, gap in msgs:
-                    acc = _vadd(acc, vec + (cfg.time_encoding(gap),))
-                hidden = _relu(_matvec(w1, acc))
-                cur[tn] = _matvec(w2, prev[tn] + hidden)
-        layers.append(cur)
+        w, b = _weights(seed, cfg.variant, layer, d)
+        prev, h = h, []
+        for x, srcs, coef in zip(prev, sources, coefs):
+            acc = [sum(map(mul, col, coef)) for col in zip(x, *[prev[s] for s in srcs])]
+            y = [sum(map(mul, row, acc)) for row in w]
+            h.append(tuple([(v > c) - (v < c) for v, c in zip(y, b)]))
+        layers.append(h)
     return layers
 
 
-def _forward_hash(tg, cfg, tnodes, nbhd):
+def _forward_concat_sum_relu(cfg, tokens, msgs):
+    seed, d = cfg.seed, cfg.width
+    encode = cfg.time_encoding
+    sources = [[src for src, _ in m] for m in msgs]
+    gap_sums = [sum(encode(gap) for _, gap in m) for m in msgs]
+    zero = (0,) * d
+    h = [_colour_vector(seed, token, d) for token in tokens]
+    layers = [h]
+    for layer in range(1, cfg.layers + 1):
+        w1, w2 = _weights(seed, cfg.variant, layer, d)
+        prev, h = h, []
+        for x, srcs, gap_sum in zip(prev, sources, gap_sums):
+            acc = [*map(sum, zip(zero, *[prev[s] for s in srcs])), gap_sum]
+            y = [sum(map(mul, row, acc)) for row in w1]
+            both = (*x, *[v if v > 0 else 0 for v in y])
+            h.append(tuple([sum(map(mul, row, both)) for row in w2]))
+        layers.append(h)
+    return layers
+
+
+def _forward_hash(cfg, tokens, msgs):
     intern: dict = {}
-
-    def intern_id(key) -> int:
-        cid = intern.get(key)
-        if cid is None:
-            cid = len(intern)
-            intern[key] = cid
-        return cid
-
-    layers = [
-        {tn: intern_id(("colour", tg.colour_of(tn))) for tn in tnodes}
-    ]
-    for _ in range(1, cfg.layers + 1):
-        prev = layers[-1]
-        cur = {
-            tn: intern_id(
-                (
-                    "combine",
-                    prev[tn],
-                    tuple(sorted(_messages(cfg, tg, prev, tn, nbhd[tn]))),
-                )
+    h = [intern.setdefault(("colour", token), len(intern)) for token in tokens]
+    layers = [h]
+    for _ in range(cfg.layers):
+        prev = h
+        # the intern key is canonical: the sorted tuple of (id, gap) messages
+        h = [
+            intern.setdefault(
+                ("combine", x, tuple(sorted([(prev[s], gap) for s, gap in m]))),
+                len(intern),
             )
-            for tn in tnodes
-        }
-        layers.append(cur)
+            for x, m in zip(prev, msgs)
+        ]
+        layers.append(h)
     return layers
 
 

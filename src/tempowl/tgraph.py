@@ -159,6 +159,12 @@ def validate(tg: TemporalGraph) -> None:
                 raise UnknownNode(f"snapshot {i}: edge endpoint {v!r} is unknown")
 
 
+def missing_colour(tg: TemporalGraph, v: str) -> MissingColour:
+    """The error `validate` raises for the first snapshot without a colour for v."""
+    i = next(i for i, snap in enumerate(tg.snapshots) if v not in snap.colours)
+    return MissingColour(f"snapshot {i}: no colour for node {v!r}")
+
+
 def is_colour_persistent(tg: TemporalGraph) -> bool:
     """True iff every node keeps one colour across all snapshots."""
     first = tg.snapshots[0].colours

@@ -201,6 +201,32 @@ def test_simulate_hash_variant_outputs_ids(tmp_path):
     )
 
 
+def test_simulate_rejects_bad_options_and_reports_errors(tmp_path):
+    path = _write_fixture(tmp_path / "g.json", "fig2")
+    for option, value in (("--layers", "-1"), ("--width", "0"), ("--width", "-3")):
+        result = CliRunner().invoke(
+            main, ["simulate", "--mode", "global", option, value, path]
+        )
+        assert result.exit_code == 2, (option, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "nodes": ["a", "b"],
+                "times": [1],
+                "snapshots": [{"colours": {"a": "g"}, "edges": []}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    result = CliRunner().invoke(main, ["simulate", "--mode", "local", str(bad)])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "error": "MissingColour",
+        "detail": "snapshot 0: no colour for node 'b'",
+    }
+
+
 def test_fixture_command(tmp_path):
     result = CliRunner().invoke(main, ["fixture", "fig2"])
     assert result.exit_code == 0
@@ -258,6 +284,15 @@ def test_fuzz_violation_exits_one_with_min_seed(monkeypatch):
 def test_fuzz_unknown_property_is_usage_error():
     result = CliRunner().invoke(main, ["fuzz", "--property", "theorem42"])
     assert result.exit_code == 2
+
+
+def test_fuzz_counts_below_one_are_usage_errors():
+    for option, value in (("--trials", "-5"), ("--trials", "0"), ("--jobs", "0")):
+        result = CliRunner().invoke(
+            main, ["fuzz", "--property", "theorem9", option, value]
+        )
+        assert result.exit_code == 2, (option, value)
+        assert "passed" not in result.output
 
 
 def test_fuzz_bad_thread_cap_is_usage_error(monkeypatch):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from tempowl import rwl
-from tempowl.errors import ConfigMismatch, LayerNotComputed, UnknownNode
+from tempowl import rwl, tgnn
+from tempowl.errors import ConfigMismatch, LayerNotComputed, MissingColour, UnknownNode
 from tempowl.gen import fixture, random_tg
-from tempowl.kgraph import k_glob, k_loc
+from tempowl.kgraph import k_glob, k_loc, temporal_neighbourhood
 from tempowl.tgnn import (
     EmbeddingState,
     ModelConfig,
@@ -156,3 +159,62 @@ def test_state_carries_config_and_nodes():
     assert isinstance(state, EmbeddingState)
     assert state.config == cfg
     assert set(state.nodes) == set(tg.timestamped_nodes())
+
+
+def test_simulator_shares_no_code_with_the_encoders():
+    # forward is the cross-check of refinement, so it may not reuse its code
+    banned = {"tempowl.kgraph", "tempowl.rwl", "tempowl.distinguish"}
+    tree = ast.parse(Path(tgnn.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not imported & banned, imported & banned
+
+
+def _with_self_loops(tg, seed):
+    ids = tg.node_ids
+    snaps = tuple(
+        Snapshot(snap.colours, {*snap.edges, (ids[(seed + i) % len(ids)],) * 2})
+        for i, snap in enumerate(tg.snapshots)
+    )
+    return TemporalGraph(tg.node_ids, tg.times, snaps)
+
+
+def test_neighbourhoods_match_the_encoder_module():
+    graphs = [fixture(name) for name in ("fig2", "fig3")]
+    graphs += [*fixture("fig5_pair"), *fixture("fig6_pair")]
+    for seed in range(12):
+        tg = random_tg(
+            seed,
+            nodes=1 + seed % 6,
+            snapshots=1 + seed % 4,
+            edge_prob=(0.0, 0.3, 0.7)[seed % 3],
+            uniform_grid=seed % 2 == 0,
+        )
+        graphs += [tg, _with_self_loops(tg, seed)]
+    for tg in graphs:
+        nbhds = tgnn._neighbourhoods(tg)
+        tnodes = tg.timestamped_nodes()
+        assert len(nbhds) == len(tnodes)
+        for tn, nbhd in zip(tnodes, nbhds):
+            got = [TN(tg.node_ids[u], i) for u, i in nbhd]
+            assert len(got) == len(set(got))
+            assert set(got) == temporal_neighbourhood(tg, tn.node, tn.time_index)
+
+
+def test_unvalidated_graphs_raise_typed_errors():
+    cfg = ModelConfig("global", layers=1, width=2)
+    no_colour = TemporalGraph(
+        ("a", "b"),
+        (1, 2),
+        (Snapshot({"a": "g", "b": "g"}, set()), Snapshot({"a": "g"}, set())),
+    )
+    with pytest.raises(MissingColour, match="snapshot 1: no colour for node 'b'"):
+        forward(no_colour, cfg)
+    stranger = TemporalGraph(("a",), (1,), (Snapshot({"a": "g"}, {("a", "z")}),))
+    with pytest.raises(UnknownNode, match="snapshot 0: edge endpoint 'z' is unknown"):
+        forward(stranger, cfg)
