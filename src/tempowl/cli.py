@@ -110,6 +110,7 @@ def refine(graph: str, encoding: str, layers: int | None, output: str | None) ->
         {
             "backend": rwl.REFINE_BACKEND,
             "stable_at": colouring.stable_at,
+            "classes_per_layer": [len(groups) for groups in partitions],
             "partitions": partitions,
         },
         output,

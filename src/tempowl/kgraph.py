@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from tempowl.errors import UnknownNode, ValidationError
-from tempowl.tgraph import TemporalGraph, TimestampedNode, missing_colour
+from tempowl.tgraph import (
+    TemporalGraph,
+    TimestampedNode,
+    check_snapshot_count,
+    missing_colour,
+)
 
 Edge = tuple[int, TimestampedNode, TimestampedNode]
 
@@ -86,6 +91,7 @@ def _colour_map(tg: TemporalGraph) -> dict[TimestampedNode, str]:
 
 def k_glob(tg: TemporalGraph) -> KnowledgeGraph:
     """Encoding whose refinement tracks message passing across time points."""
+    check_snapshot_count(tg)
     n = len(tg.times)
     edges: set[Edge] = set()
     for i, snap in enumerate(tg.snapshots):
@@ -104,6 +110,7 @@ def k_glob(tg: TemporalGraph) -> KnowledgeGraph:
 
 def k_loc(tg: TemporalGraph) -> KnowledgeGraph:
     """Encoding whose edges stay inside one time slice; gaps live in labels."""
+    check_snapshot_count(tg)
     n = len(tg.times)
     edges: set[Edge] = set()
     for i, snap in enumerate(tg.snapshots):
@@ -183,6 +190,7 @@ def union_arrays(
     labels: set[int] = set()
     offset = 0
     for tg in (tg1, tg2):
+        check_snapshot_count(tg)
         ids = sorted(tg.node_ids)
         rank = {v: r for r, v in enumerate(ids)}
         adjacency = []

@@ -201,6 +201,14 @@ def check_soundness(trial_seed: int) -> dict | None:
     for mode, encode in (("global", k_glob), ("local", k_loc)):
         merged, origin = disjoint_union(encode(tg1), encode(tg2))
         colouring = rwl.refine(merged)
+        # colour classes per layer, as (origin, node) lists in sweep order
+        layer_classes = []
+        for layer in range(_FUZZ_LAYERS + 1):
+            classes: dict[int, list] = {}
+            for tagged in colouring.nodes:
+                cid = rwl.colours_at(colouring, layer, tagged)
+                classes.setdefault(cid, []).append(origin[tagged])
+            layer_classes.append(list(classes.values()))
         for k in range(10):
             sim_seed = derive_seed(trial_seed, "sim", k)
             cfg = ModelConfig(
@@ -211,13 +219,8 @@ def check_soundness(trial_seed: int) -> dict | None:
                 seed=sim_seed,
             )
             states = (forward(tg1, cfg), forward(tg2, cfg))
-            for layer in range(cfg.layers + 1):
-                classes: dict[int, list] = {}
-                for tagged in colouring.nodes:
-                    side, tn = origin[tagged]
-                    cid = rwl.colours_at(colouring, layer, tagged)
-                    classes.setdefault(cid, []).append((side, tn))
-                for members in classes.values():
+            for layer, groups in enumerate(layer_classes):
+                for members in groups:
                     side0, tn0 = members[0]
                     ref = states[side0].value(tn0, layer)
                     for side, tn in members[1:]:

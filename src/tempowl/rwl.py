@@ -2,18 +2,25 @@
 
 A node's next colour combines its current colour with the multiset of
 (colour, label) pairs over its incoming edges. Injectivity of that
-combination is guaranteed by canonical interning — the serialised signature
-is mapped to a dense integer through an intern table shared by all nodes of
-the run — rather than by raw hashing, so there are no silent collisions.
+combination is guaranteed by keying each round on the exact signature
+tuples, rather than on raw hashes, so there are no silent collisions.
 
 Colour ids are assigned in first-encounter order during a deterministic node
 sweep (nodes sorted by (node id, time index)), which makes runs bit-identical.
-Refining a disjoint union interns into one shared table, so colour ids are
-directly comparable across the two origins.
+Refining a disjoint union numbers both origins in one sweep, so colour ids
+are directly comparable across the two origins.
 
 Everything runs through one pure-Python kernel, `_refine_rounds`, over flat
 integer arrays: a CSR layout of each node's incoming edges plus the dense
-layer-0 colour ids (see `kernel_inputs`).
+layer-0 colour ids (see `kernel_inputs`). The kernel is incremental. After
+the first round it re-signs only the nodes a split can change: those with an
+in-neighbour in a piece of a split class other than its largest piece. This
+is the "all but the largest piece" rule of Paige and Tarjan ("Three
+partition refinement algorithms", 1987) and of Berkholz, Bonsma and Grohe
+("Tight lower and upper bounds for the complexity of canonical colour
+refinement", 2017). Every other node keeps its class, renamed. The
+partitions, and so the colour ids and `stable_at`, are those of re-signing
+every node in every round; `_refine_rounds` gives the argument.
 """
 
 from __future__ import annotations
@@ -98,36 +105,101 @@ def _refine_rounds(
     partitions then produce elementwise-equal arrays, stabilisation is a
     plain array comparison; the duplicate layer is not stored.
 
+    Round 1 signs every node with (colour, sorted (source colour, label)
+    in-multiset). After that, a node is re-signed only if it is *touched*:
+    it has an in-neighbour in a piece of a class that split in the round
+    before, other than that class's largest piece. Every other node keeps
+    its class. This gives the partition that re-signing every node gives:
+
+    * An untouched node's in-edges from a split class all come from the
+      largest piece, so its new in-multiset is a function of its old one.
+      Classmates had equal old in-multisets, so untouched classmates stay
+      together.
+    * A touched node has an in-edge (p, label) from a non-largest piece p.
+      An untouched classmate has the same number of in-edges with that label
+      from p's old class, all of them from the largest piece and none from
+      p, so the two are split apart.
+    * Touched classmates are compared by their full signatures.
+
+    So untouched nodes are keyed by their class and touched ones by their
+    signature, and the renumbering in sweep order gives the same ids.
+    Classes are kept under internal block ids. The untouched rest of a
+    split class keeps its block, or its largest piece when every member was
+    re-signed, and each other piece gets a new one. A round therefore costs
+    Python work only for touched nodes and the small pieces. Renumbering
+    into the stored layer and the stabilisation test are C-level passes
+    over the n nodes.
+
     Returns (layers, stable_at) where layers[0] is `init` and stable_at is
     None when `max_layers` ran out before a repeat was seen.
     """
     layers = [list(init)]
-    cur = layers[0]
+    block = _first_encounter(init)
+    members: list[set[int]] = [set() for _ in range(max(block, default=-1) + 1)]
+    for v, b in enumerate(block):
+        members[b].add(v)
+    targets: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for u in srcs[indptr[v]:indptr[v + 1]]:
+            targets[u].append(v)
+    touched = range(n)
     stable_at = None
     for _ in range(max_layers):
-        table: dict[tuple, int] = {}
-        new = [0] * n
-        for v in range(n):
+        groups: dict[tuple, list[int]] = {}
+        for v in touched:
             sig = (
-                cur[v],
+                block[v],
                 tuple(
                     sorted(
-                        (cur[srcs[e]], rels[e])
+                        (block[srcs[e]], rels[e])
                         for e in range(indptr[v], indptr[v + 1])
                     )
                 ),
             )
-            cid = table.get(sig)
-            if cid is None:
-                cid = len(table)
-                table[sig] = cid
-            new[v] = cid
-        if new == cur:
+            group = groups.get(sig)
+            if group is None:
+                groups[sig] = [v]
+            else:
+                group.append(v)
+        pieces_of: dict[int, list[list[int]]] = {}
+        for (b, _), group in groups.items():
+            pieces_of.setdefault(b, []).append(group)
+        touched = set()
+        for b, pieces in pieces_of.items():
+            rest = members[b]
+            if len(pieces) == 1 and len(pieces[0]) == len(rest):
+                continue  # every member re-signed alike: no split
+            largest = max(pieces, key=len)
+            # untouched members keep block b; failing those, the largest piece
+            stays = None if sum(map(len, pieces)) < len(rest) else largest
+            for piece in pieces:
+                if piece is not stays:
+                    rest.difference_update(piece)
+                    b_new = len(members)
+                    for v in piece:
+                        block[v] = b_new
+                    members.append(set(piece))
+            if stays is None:
+                pieces.append(rest)
+                if len(rest) > len(largest):
+                    largest = rest
+            for piece in pieces:
+                if piece is not largest:
+                    for v in piece:
+                        touched.update(targets[v])
+        new = _first_encounter(block)
+        if new == layers[-1]:
             stable_at = len(layers) - 1
             break
         layers.append(new)
-        cur = new
     return layers, stable_at
+
+
+def _first_encounter(labels: list[int]) -> list[int]:
+    """Relabel with dense ids handed out in order of first appearance."""
+    order = dict.fromkeys(labels)
+    ids = dict(zip(order, range(len(order))))
+    return list(map(ids.__getitem__, labels))
 
 
 def refine_arrays(

@@ -38,7 +38,12 @@ from typing import Callable
 
 from tempowl.errors import ConfigMismatch, LayerNotComputed, UnknownNode
 from tempowl.gen import Xorshift64Star, derive_seed
-from tempowl.tgraph import TemporalGraph, TimestampedNode, missing_colour
+from tempowl.tgraph import (
+    TemporalGraph,
+    TimestampedNode,
+    check_snapshot_count,
+    missing_colour,
+)
 
 MODES = ("global", "local")
 VARIANTS = ("sum_sign", "concat_sum_relu", "hash_injective")
@@ -189,6 +194,7 @@ def _messages(tg: TemporalGraph, local: bool) -> list[list[tuple[int, int]]]:
 
 def forward(tg: TemporalGraph, cfg: ModelConfig) -> EmbeddingState:
     """Embeddings for every timestamped node at layers 0..cfg.layers."""
+    check_snapshot_count(tg)
     tnodes = tg.timestamped_nodes()
     try:
         tokens = [snap.colours[v] for snap in tg.snapshots for v in tg.node_ids]

@@ -136,10 +136,7 @@ def validate(tg: TemporalGraph) -> None:
             raise NonIncreasingTimes(
                 f"times[{i}] = {tg.times[i]} does not exceed times[{i - 1}] = {tg.times[i - 1]}"
             )
-    if len(tg.snapshots) != len(tg.times):
-        raise ValidationError(
-            f"{len(tg.snapshots)} snapshots for {len(tg.times)} time points"
-        )
+    check_snapshot_count(tg)
     if len(set(tg.node_ids)) != len(tg.node_ids):
         raise ValidationError("duplicate node ids")
     known = set(tg.node_ids)
@@ -157,6 +154,14 @@ def validate(tg: TemporalGraph) -> None:
                 raise UnknownNode(f"snapshot {i}: edge endpoint {u!r} is unknown")
             if v not in known:
                 raise UnknownNode(f"snapshot {i}: edge endpoint {v!r} is unknown")
+
+
+def check_snapshot_count(tg: TemporalGraph) -> None:
+    """Raise `validate`'s error unless there is one snapshot per time point."""
+    if len(tg.snapshots) != len(tg.times):
+        raise ValidationError(
+            f"{len(tg.snapshots)} snapshots for {len(tg.times)} time points"
+        )
 
 
 def missing_colour(tg: TemporalGraph, v: str) -> MissingColour:

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here may call the engine code paths it is meant to check: the
-refinement oracle compares nodes pairwise without interning or hashing, and
-the isomorphism oracle enumerates every bijection.
+refinement oracle compares nodes pairwise without interning or hashing, the
+full re-sign loop re-signs every node in every round, and the isomorphism
+oracle enumerates every bijection.
 """
 
 from __future__ import annotations
@@ -64,6 +65,31 @@ def _classes(nodes, same):
         else:
             groups.append({v})
     return {frozenset(g) for g in groups}
+
+
+def full_resign_rounds(n, indptr, srcs, rels, init, max_layers):
+    """Colour refinement that re-signs every node in every round.
+
+    The kernel's contract without its incremental bookkeeping: each round
+    keys every node by (colour, sorted (source colour, label) in-multiset),
+    hands out dense ids in first-encounter order over 0..n-1, and stops when
+    a round reproduces the previous layer exactly, which is then not stored.
+    Returns (layers, stable_at) as `rwl._refine_rounds` does.
+    """
+    layers = [list(init)]
+    for _ in range(max_layers):
+        cur = layers[-1]
+        table = {}
+        new = []
+        for v in range(n):
+            incoming = sorted(
+                (cur[srcs[e]], rels[e]) for e in range(indptr[v], indptr[v + 1])
+            )
+            new.append(table.setdefault((cur[v], tuple(incoming)), len(table)))
+        if new == cur:
+            return layers, len(layers) - 1
+        layers.append(new)
+    return layers, None
 
 
 def brute_force_timewise_maps(tg1, tg2):

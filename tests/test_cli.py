@@ -82,6 +82,18 @@ def test_refine_reports_partitions(tmp_path):
     assert all(isinstance(group, list) for group in payload["partitions"][0])
 
 
+def test_refine_reports_classes_per_layer(tmp_path):
+    path = _write_fixture(tmp_path / "g.json", "fig2")
+    for encoding in ("glob", "loc"):
+        result = CliRunner().invoke(main, ["refine", "--encoding", encoding, path])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        # 3 colours on 12 timestamped nodes split to 9, then to 10 and stay
+        assert payload["classes_per_layer"] == [3, 9, 10]
+        assert payload["classes_per_layer"] == [len(p) for p in payload["partitions"]]
+        assert payload["stable_at"] == 2
+
+
 def test_compare_fig6_global_is_negative(tmp_path):
     pa, pb = _write_pair(tmp_path, "fig6_pair")
     result = CliRunner().invoke(

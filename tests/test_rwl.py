@@ -5,13 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_refinement_partitions, refines
+from oracles import full_resign_rounds, naive_refinement_partitions, refines
+from pairs import union_pairs
 from tempowl import rwl
 from tempowl.distinguish import distinguishable_global
 from tempowl.errors import LayerNotComputed, UnknownNode, ValidationError
 from tempowl.gen import fixture, random_tg
-from tempowl.kgraph import KnowledgeGraph, disjoint_union, k_glob, k_loc
+from tempowl.kgraph import KnowledgeGraph, disjoint_union, k_glob, k_loc, union_arrays
+from tempowl.tgraph import Snapshot, TemporalGraph
 from tempowl.tgraph import TimestampedNode as TN
 
 
@@ -111,6 +115,81 @@ def test_kernel_layer_contract():
                 assert len(parent) > len(set(coarser))
             if colouring.stable_at is not None:
                 assert colouring.stable_at == len(colouring.layers) - 1
+
+
+def mirror_path(n: int, later: int) -> TemporalGraph:
+    """One-colour path on n nodes plus `later` snapshots, each keeping every
+    third edge together with its mirror image."""
+    ids = tuple(f"p{i:02d}" for i in range(n))
+    path = [(ids[i], ids[i + 1]) for i in range(n - 1)]
+    colours = {v: "c" for v in ids}
+    snaps = [Snapshot(colours, path)]
+    for k in range(later):
+        kept = set()
+        for i in range(k, (n - 1) // 2, 3):
+            kept.update((path[i], path[n - 2 - i]))
+        snaps.append(Snapshot(colours, kept))
+    return TemporalGraph(ids, tuple(range(1, later + 2)), tuple(snaps))
+
+
+def kernel_cases():
+    """(indptr, srcs, rels, init) kernel inputs: raw random knowledge graphs,
+    both encodings of every union pair, and mirror paths, which refine for
+    about n/4 rounds with few nodes touched in each."""
+    for seed in range(40):
+        _, *arrays = rwl.kernel_inputs(random_kg(seed, 2 + seed % 12))
+        yield arrays
+    for tg1, tg2 in union_pairs():
+        for encoding in ("glob", "loc"):
+            _, *arrays = union_arrays(tg1, tg2, encoding)
+            yield arrays
+    for n in (2, 3, 7, 12, 17):
+        for later in (0, 1, 2):
+            for encode in (k_glob, k_loc):
+                _, *arrays = rwl.kernel_inputs(encode(mirror_path(n, later)))
+                yield arrays
+
+
+def assert_matches_full_resign(indptr, srcs, rels, init, bound):
+    n = len(init)
+    expected = full_resign_rounds(n, indptr, srcs, rels, init, bound)
+    assert rwl._refine_rounds(n, indptr, srcs, rels, init, bound) == expected
+
+
+def test_incremental_kernel_matches_full_resign():
+    deep = 0
+    for indptr, srcs, rels, init in kernel_cases():
+        n = len(init)
+        for bound in sorted({0, 1, 2, 3, max(1, n)}):
+            assert_matches_full_resign(indptr, srcs, rels, init, bound)
+        deep += len(rwl._refine_rounds(n, indptr, srcs, rels, init, n)[0]) > 4
+    assert deep >= 10  # enough cases run past the rounds that re-sign most nodes
+
+
+@st.composite
+def csr_inputs(draw):
+    """Random CSR kernel inputs; `init` uses arbitrary, unordered colour ids."""
+    n = draw(st.integers(0, 10))
+    indptr, srcs, rels = [0], [], []
+    in_edges = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2)), max_size=4)
+    for _ in range(n):
+        for src, rel in draw(in_edges):
+            srcs.append(src)
+            rels.append(rel)
+        indptr.append(len(srcs))
+    init = draw(st.lists(st.sampled_from((9, 4, 0, 7)), min_size=n, max_size=n))
+    bound = draw(st.integers(0, n + 1))
+    return indptr, srcs, rels, init, bound
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(csr_inputs())
+# colours 1 and 0 are not in first-encounter order: an edgeless graph stores
+# the renumbered layer 1 and stabilises there, a 3-cycle splits
+@example(([0, 0, 0, 0], [], [], [1, 0, 1], 3))
+@example(([0, 1, 2, 3], [1, 2, 0], [0, 0, 0], [1, 0, 1], 3))
+def test_incremental_kernel_matches_full_resign_on_random_csr(inputs):
+    assert_matches_full_resign(*inputs)
 
 
 def test_negative_layer_bound_is_rejected():

@@ -8,9 +8,16 @@ from pathlib import Path
 import pytest
 
 from tempowl import rwl, tgnn
-from tempowl.errors import ConfigMismatch, LayerNotComputed, MissingColour, UnknownNode
+from tempowl.distinguish import classify_all
+from tempowl.errors import (
+    ConfigMismatch,
+    LayerNotComputed,
+    MissingColour,
+    UnknownNode,
+    ValidationError,
+)
 from tempowl.gen import fixture, random_tg
-from tempowl.kgraph import k_glob, k_loc, temporal_neighbourhood
+from tempowl.kgraph import k_glob, k_loc, temporal_neighbourhood, union_arrays
 from tempowl.tgnn import (
     EmbeddingState,
     ModelConfig,
@@ -18,7 +25,7 @@ from tempowl.tgnn import (
     embedding_equal,
     forward,
 )
-from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN
+from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN, validate
 
 
 def _hash_matches_refinement(tg, mode, encode):
@@ -218,3 +225,25 @@ def test_unvalidated_graphs_raise_typed_errors():
     stranger = TemporalGraph(("a",), (1,), (Snapshot({"a": "g"}, {("a", "z")}),))
     with pytest.raises(UnknownNode, match="snapshot 0: edge endpoint 'z' is unknown"):
         forward(stranger, cfg)
+    short = TemporalGraph(("a",), (1, 2), (Snapshot({"a": "g"}, set()),))
+    pair = Snapshot({"a": "g", "b": "g"}, {("a", "b")})
+    long = TemporalGraph(("a", "b"), (1,), (pair, pair))
+    other = fixture("fig2")
+    calls = (
+        lambda tg: forward(tg, cfg),
+        lambda tg: union_arrays(tg, other, "glob"),
+        lambda tg: union_arrays(other, tg, "loc"),
+        lambda tg: classify_all(tg, other),
+        lambda tg: classify_all(other, tg),
+        k_glob,
+        k_loc,
+    )
+    for tg, message in (
+        (short, "1 snapshots for 2 time points"),
+        (long, "2 snapshots for 1 time points"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            validate(tg)
+        for call in calls:
+            with pytest.raises(ValidationError, match=message):
+                call(tg)
