@@ -63,7 +63,18 @@ def _parse_node_ref(ref: str, tg: tgraph.TemporalGraph) -> TimestampedNode:
 _ENCODERS = {"glob": kgraph.k_glob, "loc": kgraph.k_loc}
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a library error from any command as ``{"error", "detail"}``, exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except TempowlError as exc:
+            _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Decide which timestamped nodes temporal message passing can tell apart."""
 
@@ -117,6 +128,13 @@ def refine(graph: str, encoding: str, layers: int | None, output: str | None) ->
     )
 
 
+def _verdict_json(first_layer: int | None, layers: int | None = None) -> dict:
+    """A verdict as JSON, cut at a bound of `layers` when one is given."""
+    if layers is not None and first_layer is not None and first_layer > layers:
+        first_layer = None
+    return {"distinguishable": first_layer is not None, "first_layer": first_layer}
+
+
 @main.command()
 @click.option("--a", "graph_a", type=click.Path(exists=True), required=True)
 @click.option("--node-a", required=True)
@@ -132,26 +150,20 @@ def compare(graph_a, node_a, graph_b, node_b, mode, layers) -> None:
         "global": distinguish.distinguishable_global,
         "local": distinguish.distinguishable_local,
     }
-    if mode == "both":
-        payload = {}
-        for name, query in queries.items():
-            verdict = query(tg1, n1, tg2, n2, layers)
-            payload[name] = {
-                "distinguishable": verdict.distinguishable,
-                "first_layer": verdict.first_layer,
-            }
-        payload["class"] = distinguish.classify_pair(tg1, n1, tg2, n2)
-        _emit(payload, None)
-    else:
+    if mode != "both":
         verdict = queries[mode](tg1, n1, tg2, n2, layers)
-        _emit(
-            {
-                "mode": mode,
-                "distinguishable": verdict.distinguishable,
-                "first_layer": verdict.first_layer,
-            },
-            None,
-        )
+        _emit({"mode": mode, **_verdict_json(verdict.first_layer)}, None)
+        return
+    # The class needs unbounded verdicts. A run bounded at --layers stores a
+    # prefix of the unbounded run's layers, so it separates the pair exactly
+    # when the unbounded first layer is at most --layers.
+    g, l = (query(tg1, n1, tg2, n2) for query in queries.values())
+    payload = {
+        "global": _verdict_json(g.first_layer, layers),
+        "local": _verdict_json(l.first_layer, layers),
+        "class": distinguish.CLASS_OF[g.distinguishable, l.distinguishable],
+    }
+    _emit(payload, None)
 
 
 @main.command()
@@ -181,16 +193,14 @@ def classify(graph_a, graph_b, output) -> None:
 @click.argument("graph_a", type=click.Path(exists=True))
 @click.argument("graph_b", type=click.Path(exists=True))
 @click.option("--kind", type=click.Choice(["pointwise", "timewise"]), required=True)
-@click.option("--max-nodes", type=int, default=iso.DEFAULT_NODE_LIMIT)
+@click.option(
+    "--max-nodes", type=click.IntRange(min=0), default=iso.DEFAULT_NODE_LIMIT
+)
 def iso_command(graph_a, graph_b, kind, max_nodes) -> None:
     """Search for a pointwise or timewise isomorphism witness."""
     tg1, tg2 = _load_graph(graph_a), _load_graph(graph_b)
     search = iso.pointwise_iso if kind == "pointwise" else iso.timewise_iso
-    try:
-        witness = search(tg1, tg2, max_nodes)
-    except TempowlError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
-        sys.exit(1)
+    witness = search(tg1, tg2, max_nodes)
     if witness is None:
         _emit({"isomorphic": False}, None)
     else:
@@ -212,13 +222,9 @@ def iso_command(graph_a, graph_b, kind, max_nodes) -> None:
 @click.option("-o", "--output", type=click.Path())
 def simulate(graph, mode, variant, seed, layers, width, output) -> None:
     """Exact integer forward pass; emits all per-layer embeddings."""
-    try:
-        state = tgnn.forward(
-            _load_graph(graph), tgnn.ModelConfig(mode, layers, width, variant, seed)
-        )
-    except TempowlError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
-        sys.exit(1)
+    state = tgnn.forward(
+        _load_graph(graph), tgnn.ModelConfig(mode, layers, width, variant, seed)
+    )
 
     def as_json(value):
         return list(value) if isinstance(value, tuple) else value
@@ -246,11 +252,7 @@ def simulate(graph, mode, variant, seed, layers, width, output) -> None:
 @click.option("-o", "--output", type=click.Path())
 def fixture(name, part, output) -> None:
     """Write a named figure fixture; use --part to pick one side of a pair."""
-    try:
-        value = gen.fixture(name)
-    except TempowlError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
-        sys.exit(1)
+    value = gen.fixture(name)
     if isinstance(value, tuple):
         if part:
             value = value[0 if part == "a" else 1]
@@ -267,9 +269,9 @@ def fixture(name, part, output) -> None:
 
 @main.command("gen")
 @click.option("--seed", type=int, required=True)
-@click.option("--nodes", type=int, default=5)
-@click.option("--snapshots", type=int, default=3)
-@click.option("--edge-prob", type=float, default=0.4)
+@click.option("--nodes", type=click.IntRange(min=1), default=5)
+@click.option("--snapshots", type=click.IntRange(min=1), default=3)
+@click.option("--edge-prob", type=click.FloatRange(0, 1), default=0.4)
 @click.option("--palette", default="green,blue,red", help="Comma-separated colours.")
 @click.option("--colour-persistent", is_flag=True)
 @click.option("--non-uniform-grid", is_flag=True)
@@ -329,13 +331,9 @@ def fuzz(property_name, trials, seed, jobs) -> None:
 @click.argument("events", type=click.Path(exists=True))
 def stats(events) -> None:
     """Node/edge/step counts of a CSV event file."""
-    try:
-        with open(events, encoding="utf-8") as handle:
-            rows = tgraph.events_from_csv(handle.read())
-        tgraph.reject_self_loops(rows)
-    except TempowlError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
-        sys.exit(1)
+    with open(events, encoding="utf-8") as handle:
+        rows = tgraph.events_from_csv(handle.read())
+    tgraph.reject_self_loops(rows)
     nodes = {x for u, v, _ in rows for x in (u, v)}
     steps = {t for _, _, t in rows}
     _emit({"nodes": len(nodes), "edges": len(rows), "steps": len(steps)}, None)

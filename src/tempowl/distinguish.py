@@ -9,12 +9,11 @@ separating layer is recorded so fixed-depth networks can be emulated.
 Cross-graph comparison needs no time alignment: relation labels are time
 differences shared by value across the union.
 
-The single-pair queries (`distinguishable_*`, `classify_pair`) take the
-reference path: they build both `KnowledgeGraph` encodings, their tagged
-union and a `Colouring`. `classify_all` compiles the union straight to the
-kernel's arrays (`kgraph.union_arrays`) and reads every pair's first
-separating layer from the colour histories; the tests hold the two paths
-equal.
+Every query compiles the union straight to the kernel's arrays
+(`kgraph.union_arrays`), refines it once and reads first separating layers
+from the colour histories: `classify_all` for every cross pair, the
+single-pair queries (`distinguishable_*`, `classify_pair`) for one. The tests
+hold both to a reference built from the `KnowledgeGraph` union.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from itertools import product
 
 from tempowl import rwl
 from tempowl.errors import UnknownNode
-from tempowl.kgraph import disjoint_union, k_glob, k_loc, union_arrays, union_node
+from tempowl.kgraph import union_arrays
 from tempowl.tgraph import TemporalGraph, TimestampedNode
 
 PAIR_CLASSES = ("both", "global_only", "local_only", "neither")
@@ -45,22 +44,10 @@ def _check_node(tg: TemporalGraph, tn: TimestampedNode) -> None:
         raise UnknownNode(f"{tn} is not a timestamped node of this graph")
 
 
-def _first_separating_layer(colouring, a, b):
-    pa, pb = colouring.position(a), colouring.position(b)
-    for layer, ids in enumerate(colouring.layers):
-        if ids[pa] != ids[pb]:
-            return layer
-    return None
-
-
-def _verdict(tg1, node1, tg2, node2, encode, mode, max_layers):
+def _verdict(tg1, node1, tg2, node2, encoding, mode, max_layers):
     _check_node(tg1, node1)
     _check_node(tg2, node2)
-    merged, _ = disjoint_union(encode(tg1), encode(tg2))
-    colouring = rwl.refine(merged, max_layers)
-    layer = _first_separating_layer(
-        colouring, union_node(0, node1), union_node(1, node2)
-    )
+    (layer,) = _pair_layers(tg1, tg2, encoding, [node1], [node2], max_layers)
     return Verdict(layer is not None, layer, mode)
 
 
@@ -76,7 +63,7 @@ def distinguishable_global(
     With the default unbounded run the answer covers models of any depth;
     a `max_layers` bound answers relative to networks of at most that depth.
     """
-    return _verdict(tg1, node1, tg2, node2, k_glob, "global", max_layers)
+    return _verdict(tg1, node1, tg2, node2, "glob", "global", max_layers)
 
 
 def distinguishable_local(
@@ -87,11 +74,11 @@ def distinguishable_local(
     max_layers: int | None = None,
 ) -> Verdict:
     """Can some local message-passing model separate the pair?"""
-    return _verdict(tg1, node1, tg2, node2, k_loc, "local", max_layers)
+    return _verdict(tg1, node1, tg2, node2, "loc", "local", max_layers)
 
 
 # pair class by (separated globally, separated locally)
-_CLASS_OF = {
+CLASS_OF = {
     (True, True): "both",
     (True, False): "global_only",
     (False, True): "local_only",
@@ -108,7 +95,7 @@ def classify_pair(
     """Four-way class of one pair, with both refinements run to stabilisation."""
     g = distinguishable_global(tg1, node1, tg2, node2)
     l = distinguishable_local(tg1, node1, tg2, node2)
-    return _CLASS_OF[g.distinguishable, l.distinguishable]
+    return CLASS_OF[g.distinguishable, l.distinguishable]
 
 
 @dataclass(frozen=True)
@@ -152,30 +139,31 @@ def _separating_layers(
     return out
 
 
+def _pair_layers(tg1, tg2, encoding, rows, cols, max_layers=None):
+    """First separating layer of every (row of tg1, column of tg2) pair,
+    row-major, from one refinement of the union's encoding."""
+    nodes, indptr, srcs, rels, init = union_arrays((tg1, tg2), encoding)
+    layers, _ = rwl.refine_arrays(indptr, srcs, rels, init, max_layers)
+    pos = {node: i for i, node in enumerate(nodes)}
+    return _separating_layers(
+        layers, [pos[0, a] for a in rows], [pos[1, b] for b in cols]
+    )
+
+
 def classify_all(tg1: TemporalGraph, tg2: TemporalGraph) -> ClassifyResult:
     """Classify every cross pair from two shared refinement runs.
 
-    Each encoding's disjoint union is compiled straight to the kernel's CSR
-    arrays and refined once to stabilisation. A pair's first separating
-    layer is then the number of stored layers on which its two colours
-    agree, or None when they agree on the last one. The result equals one
-    classify_pair call per pair, which stays on the KnowledgeGraph path.
+    Each encoding's disjoint union is refined once to stabilisation. A
+    pair's first separating layer is then the number of stored layers on
+    which its two colours agree, or None when they agree on the last one.
     """
     rows = tuple(tg1.timestamped_nodes())
     cols = tuple(tg2.timestamped_nodes())
-    per_mode = []
-    for encoding in ("glob", "loc"):
-        nodes, indptr, srcs, rels, init = union_arrays(tg1, tg2, encoding)
-        layers, _ = rwl.refine_arrays(indptr, srcs, rels, init)
-        pos = {node: i for i, node in enumerate(nodes)}
-        per_mode.append(
-            _separating_layers(
-                layers, [pos[0, a] for a in rows], [pos[1, b] for b in cols]
-            )
-        )
-    glob, loc = per_mode
+    glob, loc = (
+        _pair_layers(tg1, tg2, encoding, rows, cols) for encoding in ("glob", "loc")
+    )
     keys = list(product(rows, cols))
-    classes = [_CLASS_OF[g is not None, l is not None] for g, l in zip(glob, loc)]
+    classes = [CLASS_OF[g is not None, l is not None] for g, l in zip(glob, loc)]
     tally = Counter(classes)
     return ClassifyResult(
         rows,

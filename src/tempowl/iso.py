@@ -65,20 +65,15 @@ def _match(
     """One bijection nodes1 -> nodes2 preserving colours and every relation."""
     if len(nodes1) != len(nodes2):
         return None
-    merged, _ = disjoint_union(
+    merged, origin = disjoint_union(
         _encode_for_pruning(nodes1, colour1, rel_edges1),
         _encode_for_pruning(nodes2, colour2, rel_edges2),
     )
     colouring = rwl.refine(merged)
-    stable = len(colouring.layers) - 1
-    cls1 = {
-        v: rwl.colours_at(colouring, stable, TimestampedNode(f"0:{v}", 0))
-        for v in nodes1
-    }
-    cls2 = {
-        v: rwl.colours_at(colouring, stable, TimestampedNode(f"1:{v}", 0))
-        for v in nodes2
-    }
+    cls1, cls2 = {}, {}
+    for tagged, cid in zip(colouring.nodes, colouring.layers[-1]):
+        side, tn = origin[tagged]
+        (cls2 if side else cls1)[tn.node] = cid
     if sorted(cls1.values()) != sorted(cls2.values()):
         return None
 

@@ -13,17 +13,19 @@ where the edges land:
 Unordered source edges induce both directions, and parallel edges between one
 ordered node pair with distinct labels are allowed (and do occur).
 
-`union_arrays` compiles two temporal graphs straight to the refinement
-kernel's arrays for the disjoint union of their encodings; the
-`KnowledgeGraph` path (`k_glob`/`k_loc`, `disjoint_union`) stays the
-validated interchange form and the reference it is tested against.
+`union_arrays` compiles one temporal graph, or the disjoint union of two,
+straight to the refinement kernel's arrays; every query that starts from
+temporal graphs goes through it. The `KnowledgeGraph` path (`k_glob`/`k_loc`,
+`disjoint_union`) serves where a knowledge graph is the input or the output
+(`transform`, `refine`, the isomorphism search) and is the reference the
+tests hold the arrays to.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from tempowl.errors import UnknownNode, ValidationError
 from tempowl.tgraph import (
@@ -127,7 +129,7 @@ def k_loc(tg: TemporalGraph) -> KnowledgeGraph:
     )
 
 
-def union_node(origin: int, tn: TimestampedNode) -> TimestampedNode:
+def _union_node(origin: int, tn: TimestampedNode) -> TimestampedNode:
     """The name `disjoint_union` gives node `tn` of its argument `origin` (0 or 1)."""
     return TimestampedNode(f"{origin}:{tn.node}", tn.time_index)
 
@@ -148,12 +150,12 @@ def disjoint_union(
     origin_map: dict[TimestampedNode, tuple[int, TimestampedNode]] = {}
     for k, kg in enumerate((kg1, kg2)):
         for tn in kg.nodes:
-            tagged = union_node(k, tn)
+            tagged = _union_node(k, tn)
             nodes.append(tagged)
             colours[tagged] = kg.colours[tn]
             origin_map[tagged] = (k, tn)
         for r, src, tgt in kg.edges:
-            edges.add((r, union_node(k, src), union_node(k, tgt)))
+            edges.add((r, _union_node(k, src), _union_node(k, tgt)))
     return (
         KnowledgeGraph(
             tuple(nodes),
@@ -166,30 +168,32 @@ def disjoint_union(
 
 
 def union_arrays(
-    tg1: TemporalGraph, tg2: TemporalGraph, encoding: str
+    graphs: Sequence[TemporalGraph], encoding: str
 ) -> tuple[list[tuple[int, TimestampedNode]], list[int], list[int], list[int], list[int]]:
-    """Kernel inputs of the disjoint union of two encodings, built from the graphs.
+    """Kernel inputs of one graph's encoding, or of the disjoint union of two.
 
-    `encoding` is "glob" or "loc". The result equals, element for element,
-    ``rwl.kernel_inputs(disjoint_union(k(tg1), k(tg2)))`` with k the named
-    encoder, except that each node is given as (origin, node) rather than by
-    its tagged name. No knowledge graph and no per-edge object is built:
-    node (v, j) of graph k sits at ``offset_k + rank(v) * T_k + j``, where
-    rank(v) is v's place among the graph's sorted node ids, which is the
-    (origin, node, time) order the tagged union sorts in. Each node's
-    in-edges come out already sorted by (label, source): time differences
-    grow as the edge's snapshot index i falls, and within one snapshot the
-    sources follow their ranks. In both encodings the edge {u, v} of
-    snapshot i reaches (u, j) for every j >= i, labelled t_j - t_i; it comes
-    from (v, i) in the global encoding and from (v, j) in the local one.
+    `encoding` is "glob" or "loc". For graphs ``(tg1, tg2)`` the result
+    equals, element for element, ``rwl.kernel_inputs(disjoint_union(k(tg1),
+    k(tg2)))`` with k the named encoder, and for ``(tg,)`` it equals
+    ``rwl.kernel_inputs(k(tg))``, except that each node is given as
+    (origin, node) rather than by its name. No knowledge graph and no
+    per-edge object is built: node (v, j) of graph k sits at
+    ``offset_k + rank(v) * T_k + j``, where rank(v) is v's place among the
+    graph's sorted node ids, which is the (origin, node, time) order the
+    tagged union sorts in. Each node's in-edges come out already sorted by
+    (label, source): time differences grow as the edge's snapshot index i
+    falls, and within one snapshot the sources follow their ranks. In both
+    encodings the edge {u, v} of snapshot i reaches (u, j) for every j >= i,
+    labelled t_j - t_i; it comes from (v, i) in the global encoding and from
+    (v, j) in the local one.
     """
     if encoding not in ("glob", "loc"):
         raise ValueError(f"unknown encoding {encoding!r}")
     local = encoding == "loc"
-    graphs = []  # (offset, graph, sorted ids, adjacency[i][rank u] -> sorted ranks)
+    compiled = []  # (offset, graph, sorted ids, adjacency[i][rank u] -> sorted ranks)
     labels: set[int] = set()
     offset = 0
-    for tg in (tg1, tg2):
+    for tg in graphs:
         check_snapshot_count(tg)
         ids = sorted(tg.node_ids)
         rank = {v: r for r, v in enumerate(ids)}
@@ -205,7 +209,7 @@ def union_arrays(
             adjacency.append([sorted(s) for s in nbrs])
             if snap.edges:
                 labels.update(t - tg.times[i] for t in tg.times[i:])
-        graphs.append((offset, tg, ids, adjacency))
+        compiled.append((offset, tg, ids, adjacency))
         offset += len(ids) * len(tg.times)
     rel_id = {r: x for x, r in enumerate(sorted(labels))}
 
@@ -215,7 +219,7 @@ def union_arrays(
     indptr = [0]
     srcs: list[int] = []
     rels: list[int] = []
-    for k, (offset, tg, ids, adjacency) in enumerate(graphs):
+    for k, (offset, tg, ids, adjacency) in enumerate(compiled):
         times = tg.times
         n_times = len(times)
         for u, name in enumerate(ids):

@@ -23,7 +23,7 @@ from tempowl.distinguish import (
 from tempowl.errors import ValidationError
 from tempowl.gen import Xorshift64Star, derive_seed, fixture, permuted_copy, random_tg
 from tempowl.iso import pointwise_iso
-from tempowl.kgraph import disjoint_union, k_glob, k_loc
+from tempowl.kgraph import union_arrays
 from tempowl.tgraph import TimestampedNode, shifted_copy
 from tempowl.tgnn import ModelConfig, embedding_equal, forward
 
@@ -155,12 +155,14 @@ def check_lemma1(trial_seed: int) -> dict | None:
         colour_persistent=True,
         uniform_grid=True,
     )
-    colouring = rwl.refine(k_loc(tg))
+    nodes, indptr, srcs, rels, init = union_arrays((tg,), "loc")
+    layers, _ = rwl.refine_arrays(indptr, srcs, rels, init)
+    pos = {tn: p for p, (_, tn) in enumerate(nodes)}
     # contrapositive sweep: nodes equal after the shift must already have been
     # equal before it, which visits exactly the instances the property quantifies over
-    for layer_ids in colouring.layers:
+    for layer_ids in layers:
         classes: dict[int, list[TimestampedNode]] = {}
-        for tn, cid in zip(colouring.nodes, layer_ids):
+        for (_, tn), cid in zip(nodes, layer_ids):
             classes.setdefault(cid, []).append(tn)
         for members in classes.values():
             for x in range(len(members)):
@@ -168,8 +170,8 @@ def check_lemma1(trial_seed: int) -> dict | None:
                 for y in range(x + 1, len(members)):
                     u, j = members[y]
                     for k in range(1, min(i, j) + 1):
-                        a = colouring.position(TimestampedNode(v, i - k))
-                        b = colouring.position(TimestampedNode(u, j - k))
+                        a = pos[TimestampedNode(v, i - k)]
+                        b = pos[TimestampedNode(u, j - k)]
                         if layer_ids[a] != layer_ids[b]:
                             return {
                                 "seed": trial_seed,
@@ -198,16 +200,16 @@ def check_soundness(trial_seed: int) -> dict | None:
 
     tg1 = draw("g1")
     tg2 = tg1 if rng.chance(0.25) else draw("g2")
-    for mode, encode in (("global", k_glob), ("local", k_loc)):
-        merged, origin = disjoint_union(encode(tg1), encode(tg2))
-        colouring = rwl.refine(merged)
-        # colour classes per layer, as (origin, node) lists in sweep order
+    for mode, encoding in (("global", "glob"), ("local", "loc")):
+        nodes, indptr, srcs, rels, init = union_arrays((tg1, tg2), encoding)
+        layers, _ = rwl.refine_arrays(indptr, srcs, rels, init)
+        # colour classes per layer, as (origin, node) lists in sweep order; the
+        # run is unbounded, so a layer past the stored ones is the last, stable one
         layer_classes = []
         for layer in range(_FUZZ_LAYERS + 1):
             classes: dict[int, list] = {}
-            for tagged in colouring.nodes:
-                cid = rwl.colours_at(colouring, layer, tagged)
-                classes.setdefault(cid, []).append(origin[tagged])
+            for node, cid in zip(nodes, layers[min(layer, len(layers) - 1)]):
+                classes.setdefault(cid, []).append(node)
             layer_classes.append(list(classes.values()))
         for k in range(10):
             sim_seed = derive_seed(trial_seed, "sim", k)

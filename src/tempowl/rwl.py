@@ -66,8 +66,8 @@ def kernel_inputs(
     """Flatten a knowledge graph into the arrays the kernels consume.
 
     Returns (nodes in sweep order, CSR indptr, edge sources, dense relation
-    ids, dense layer-0 colour ids). `kgraph.union_arrays` must produce these
-    same arrays for a disjoint union; the tests hold the two equal.
+    ids, dense layer-0 colour ids). `kgraph.union_arrays` gives the same
+    arrays for one encoded graph or a union of two; the tests hold them equal.
     """
     nodes = sorted(kg.nodes)
     pos = {tn: i for i, tn in enumerate(nodes)}
@@ -263,9 +263,3 @@ def partition_at(colouring: Colouring, layer: int) -> list[list[TimestampedNode]
     groups = [sorted(members) for members in classes.values()]
     return sorted(groups, key=lambda g: g[0])
 
-
-def layer_map(colouring: Colouring, layer: int) -> dict[TimestampedNode, int]:
-    """The layer as a plain node -> colour id map."""
-    return {
-        tn: colours_at(colouring, layer, tn) for tn in colouring.nodes
-    }

@@ -90,9 +90,6 @@ class TemporalGraph:
             for v in self.node_ids
         ]
 
-    def colour_of(self, tn: TimestampedNode) -> str:
-        return self.snapshots[tn.time_index].colours[tn.node]
-
 
 @dataclass(frozen=True)
 class AggregatedGraph:
@@ -137,6 +134,9 @@ def validate(tg: TemporalGraph) -> None:
                 f"times[{i}] = {tg.times[i]} does not exceed times[{i - 1}] = {tg.times[i - 1]}"
             )
     check_snapshot_count(tg)
+    for v in tg.node_ids:
+        if not isinstance(v, str):
+            raise ValidationError(f"node id {v!r} is not a string")
     if len(set(tg.node_ids)) != len(tg.node_ids):
         raise ValidationError("duplicate node ids")
     known = set(tg.node_ids)
@@ -147,6 +147,8 @@ def validate(tg: TemporalGraph) -> None:
         for v in tg.node_ids:
             if v not in snap.colours:
                 raise MissingColour(f"snapshot {i}: no colour for node {v!r}")
+            if not isinstance(snap.colours[v], str):
+                raise ValidationError(f"snapshot {i}: node {v!r} has a non-string colour")
         for u, v in sorted(snap.edges):
             if u == v:
                 raise SelfLoop(f"snapshot {i}: self-loop on {u!r}")
@@ -271,14 +273,26 @@ def to_dict(tg: TemporalGraph) -> dict:
     }
 
 
+def _pair(edge, i: int) -> tuple[str, str]:
+    # checked, as tuple(edge) would read the string "ab" as the edge {a, b}
+    if isinstance(edge, list) and len(edge) == 2:
+        u, v = edge
+        if isinstance(u, str) and isinstance(v, str):
+            return u, v
+    raise ValidationError(f"snapshot {i}: edge {edge!r} is not a list of two node ids")
+
+
 def from_dict(data: dict) -> TemporalGraph:
+    """Read a temporal-graph document, raising ValidationError on any defect."""
     try:
+        if not isinstance(data["nodes"], list):
+            raise ValidationError(f"nodes {data['nodes']!r} is not a list of node ids")
         snapshots = tuple(
-            Snapshot(snap["colours"], {tuple(e) for e in snap["edges"]})
-            for snap in data["snapshots"]
+            Snapshot(snap["colours"], {_pair(e, i) for e in snap["edges"]})
+            for i, snap in enumerate(data["snapshots"])
         )
         tg = TemporalGraph(tuple(data["nodes"]), tuple(data["times"]), snapshots)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed temporal-graph document: {exc}") from exc
     validate(tg)
     return tg
@@ -289,7 +303,11 @@ def to_json(tg: TemporalGraph) -> str:
 
 
 def from_json(text: str) -> TemporalGraph:
-    return from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"not a JSON document: {exc}") from exc
+    return from_dict(data)
 
 
 def events_from_csv(text: str) -> list[tuple[str, str, int]]:

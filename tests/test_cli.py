@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 from click.testing import CliRunner
 
@@ -10,6 +11,7 @@ from tempowl import properties
 from tempowl.cli import main
 from tempowl.gen import fixture
 from tempowl.tgraph import events_to_csv, to_json
+from test_tgraph import MALFORMED_DOCUMENTS
 
 
 def _write_fixture(path, name):
@@ -338,3 +340,85 @@ def test_stats_reports_bad_events_as_errors(tmp_path):
         result = CliRunner().invoke(main, ["stats", str(path)])
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == error
+
+
+def test_compare_both_equals_the_bounded_single_mode_runs(tmp_path):
+    fig2 = _write_fixture(tmp_path / "fig2.json", "fig2")
+    fig3 = _write_fixture(tmp_path / "fig3.json", "fig3")
+    cases = [(fig2, "b#3", fig3, "b#3")]
+    for name in ("fig5_pair", "fig6_pair"):
+        pa, pb = _write_pair(tmp_path, name)
+        cases.append((pa, "a#1", pb, "a'#1"))
+    classes = []
+    for pa, ref_a, pb, ref_b in cases:
+        args = ["compare", "--a", pa, "--node-a", ref_a, "--b", pb, "--node-b", ref_b]
+        for bound in ([], ["--layers", "0"], ["--layers", "1"], ["--layers", "2"]):
+            both = CliRunner().invoke(main, args + bound)
+            assert both.exit_code == 0
+            payload = json.loads(both.output)
+            classes.append(payload.pop("class"))
+            for mode in ("global", "local"):
+                single = CliRunner().invoke(main, args + bound + ["--mode", mode])
+                expected = json.loads(single.output)
+                assert expected.pop("mode") == mode
+                assert payload[mode] == expected
+    # the class ignores --layers, as classify_pair does
+    assert classes == ["global_only"] * 4 + ["both"] * 4 + ["local_only"] * 4
+
+
+def test_load_errors_are_reported_by_every_command(tmp_path):
+    bad = tmp_path / "short.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "nodes": ["a"],
+                "times": [1, 2],
+                "snapshots": [{"colours": {"a": "g"}, "edges": []}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    path = str(bad)
+    for args in (
+        ["refine", path],
+        ["transform", "--encoding", "loc", path],
+        ["compare", "--a", path, "--node-a", "a#0", "--b", path, "--node-b", "a#0"],
+        ["classify", "--a", path, "--b", path],
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, args
+        assert json.loads(result.output) == {
+            "error": "ValidationError",
+            "detail": "1 snapshots for 2 time points",
+        }
+
+
+def test_malformed_documents_are_rejected_by_validate_and_refine(tmp_path):
+    path = tmp_path / "bad.json"
+    for text, message in MALFORMED_DOCUMENTS:
+        path.write_text(text, encoding="utf-8")
+        checked = CliRunner().invoke(main, ["validate", str(path)])
+        assert checked.exit_code == 1, text
+        payload = json.loads(checked.output)
+        assert (payload["ok"], payload["error"]) == (False, "ValidationError")
+        assert re.search(message, payload["detail"]), text
+        refined = CliRunner().invoke(main, ["refine", str(path)])
+        assert refined.exit_code == 1, text
+        assert json.loads(refined.output) == {
+            "error": "ValidationError",
+            "detail": payload["detail"],
+        }
+
+
+def test_out_of_range_options_are_usage_errors(tmp_path):
+    path = _write_fixture(tmp_path / "g.json", "fig2")
+    for args in (
+        ["gen", "--seed", "1", "--nodes", "0"],
+        ["gen", "--seed", "1", "--snapshots", "0"],
+        ["gen", "--seed", "1", "--edge-prob", "2"],
+        ["gen", "--seed", "1", "--edge-prob", "-0.5"],
+        ["iso", "--kind", "timewise", "--max-nodes", "-1", path, path],
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, args
+        assert "Traceback" not in result.output

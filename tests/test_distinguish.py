@@ -7,7 +7,9 @@ from itertools import product
 import pytest
 
 from pairs import union_pairs
+from tempowl import rwl
 from tempowl.distinguish import (
+    CLASS_OF,
     classify_all,
     classify_pair,
     distinguishable_global,
@@ -16,7 +18,7 @@ from tempowl.distinguish import (
 from tempowl.errors import MissingColour, UnknownNode
 from tempowl.gen import fixture, random_tg
 from tempowl.iso import timewise_iso
-from tempowl.kgraph import k_glob, k_loc
+from tempowl.kgraph import disjoint_union, k_glob, k_loc
 from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN
 
 
@@ -91,19 +93,55 @@ def test_timewise_correspondence_classifies_neither():
             assert classify_pair(a, TN(v, i), b, TN(f[v], i)) == "neither"
 
 
+def _first_separating_layer(colouring, a, b):
+    pa, pb = colouring.position(a), colouring.position(b)
+    for layer, ids in enumerate(colouring.layers):
+        if ids[pa] != ids[pb]:
+            return layer
+    return None
+
+
+def _reference_layers(a, b, encode, bound=None):
+    """First separating layer of every cross pair, from one refinement of
+    the KnowledgeGraph union: the reference the array path is held to."""
+    merged, origin = disjoint_union(encode(a), encode(b))
+    colouring = rwl.refine(merged, bound)
+    tagged = {node: name for name, node in origin.items()}
+    return {
+        (row, col): _first_separating_layer(colouring, tagged[0, row], tagged[1, col])
+        for row in a.timestamped_nodes()
+        for col in b.timestamped_nodes()
+    }
+
+
 def test_classify_all_matches_per_pair_oracle():
     for a, b in union_pairs():
         result = classify_all(a, b)
         assert set(result.counts) == {"both", "global_only", "local_only", "neither"}
         assert sum(result.counts.values()) == len(result.rows) * len(result.cols)
         assert list(result.classes) == list(product(result.rows, result.cols))
-        for row in result.rows:
-            for col in result.cols:
-                assert result.classes[(row, col)] == classify_pair(a, row, b, col)
-                g = distinguishable_global(a, row, b, col)
-                l = distinguishable_local(a, row, b, col)
-                assert result.global_layers[(row, col)] == g.first_layer
-                assert result.local_layers[(row, col)] == l.first_layer
+        glob, loc = _reference_layers(a, b, k_glob), _reference_layers(a, b, k_loc)
+        assert result.global_layers == glob
+        assert result.local_layers == loc
+        for (row, col), cls in result.classes.items():
+            expected = CLASS_OF[glob[row, col] is not None, loc[row, col] is not None]
+            assert cls == expected
+            assert classify_pair(a, row, b, col) == expected
+
+
+def test_single_pair_queries_match_reference_at_every_bound():
+    for a, b in union_pairs():
+        for query, encode in (
+            (distinguishable_global, k_glob),
+            (distinguishable_local, k_loc),
+        ):
+            for bound in (None, 0, 1, 2):
+                for (row, col), layer in _reference_layers(a, b, encode, bound).items():
+                    verdict = query(a, row, b, col, bound)
+                    assert (verdict.distinguishable, verdict.first_layer) == (
+                        layer is not None,
+                        layer,
+                    )
 
 
 def test_first_separating_layers_are_ints_or_none():

@@ -191,14 +191,20 @@ def test_union_arrays_match_kernel_inputs_of_tagged_union(encoding, encode):
     for tg1, tg2 in union_pairs():
         merged, origin_map = disjoint_union(encode(tg1), encode(tg2))
         nodes, indptr, srcs, rels, init = rwl.kernel_inputs(merged)
-        compiled = union_arrays(tg1, tg2, encoding)
+        compiled = union_arrays((tg1, tg2), encoding)
         assert compiled[0] == [origin_map[tn] for tn in nodes]
         assert compiled[1:] == (indptr, srcs, rels, init)
+        # one graph: its own encoding, every node from origin 0
+        for tg in (tg1, tg2):
+            nodes, indptr, srcs, rels, init = rwl.kernel_inputs(encode(tg))
+            compiled = union_arrays((tg,), encoding)
+            assert compiled[0] == [(0, tn) for tn in nodes]
+            assert compiled[1:] == (indptr, srcs, rels, init)
 
 
 def test_union_arrays_reject_an_unknown_encoding():
     with pytest.raises(ValueError):
-        union_arrays(fixture("fig2"), fixture("fig3"), "both")
+        union_arrays((fixture("fig2"), fixture("fig3")), "both")
 
 
 def test_kg_json_round_trip():

@@ -141,7 +141,7 @@ def kernel_cases():
         yield arrays
     for tg1, tg2 in union_pairs():
         for encoding in ("glob", "loc"):
-            _, *arrays = union_arrays(tg1, tg2, encoding)
+            _, *arrays = union_arrays((tg1, tg2), encoding)
             yield arrays
     for n in (2, 3, 7, 12, 17):
         for later in (0, 1, 2):
@@ -269,9 +269,3 @@ def test_partition_at_orders_by_smallest_member():
     assert groups == sorted(groups, key=lambda g: g[0])
     assert all(group == sorted(group) for group in groups)
 
-
-def test_layer_map_matches_colours_at():
-    colouring = rwl.refine(k_loc(fixture("fig3")))
-    mapping = rwl.layer_map(colouring, 1)
-    for tn, cid in mapping.items():
-        assert cid == rwl.colours_at(colouring, 1, tn)

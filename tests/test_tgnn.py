@@ -231,8 +231,8 @@ def test_unvalidated_graphs_raise_typed_errors():
     other = fixture("fig2")
     calls = (
         lambda tg: forward(tg, cfg),
-        lambda tg: union_arrays(tg, other, "glob"),
-        lambda tg: union_arrays(other, tg, "loc"),
+        lambda tg: union_arrays((tg, other), "glob"),
+        lambda tg: union_arrays((other, tg), "loc"),
         lambda tg: classify_all(tg, other),
         lambda tg: classify_all(other, tg),
         k_glob,

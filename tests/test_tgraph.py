@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -226,9 +227,34 @@ def test_json_round_trip():
         assert from_json(to_json(tg)) == tg
 
 
+def _document(nodes=("a", "b"), colours=None, edges=(["a", "b"],)):
+    colours = {v: "g" for v in nodes} if colours is None else colours
+    return {
+        "nodes": list(nodes),
+        "times": [1],
+        "snapshots": [{"colours": colours, "edges": list(edges)}],
+    }
+
+
+# (document, fragment of the ValidationError it must raise): none of these may
+# load as something other than what it says, or end in a bare ValueError
+MALFORMED_DOCUMENTS = (
+    ('{"nodes": ["a"]}', "malformed"),
+    ("{not json", "not a JSON document"),
+    (json.dumps(_document(edges=["ab"])), "is not a list of two node ids"),
+    (json.dumps(_document(edges=[["a", "b", "a"]])), "is not a list of two node ids"),
+    (json.dumps(_document(edges=[["a", 1]])), "is not a list of two node ids"),
+    (json.dumps(dict(_document(), nodes="ab")), "is not a list of node ids"),
+    (json.dumps(_document(colours=[["a"]])), "malformed"),
+    (json.dumps(_document(nodes=["a", 1], edges=[])), "node id 1 is not a string"),
+    (json.dumps(_document(colours={"a": "g", "b": 1})), "node 'b' has a non-string colour"),
+)
+
+
 def test_json_rejects_malformed_documents():
-    with pytest.raises(ValidationError):
-        from_json('{"nodes": ["a"]}')
+    for text, message in MALFORMED_DOCUMENTS:
+        with pytest.raises(ValidationError, match=message):
+            from_json(text)
 
 
 def test_events_csv_round_trip():
