@@ -21,9 +21,16 @@ from tempowl.errors import TempowlError, ValidationError
 from tempowl.tgraph import TimestampedNode, node_key
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_graph(path: str) -> tgraph.TemporalGraph:
-    with open(path, encoding="utf-8") as handle:
-        return tgraph.from_json(handle.read())
+    return tgraph.from_json(_read_text(path))
 
 
 def _emit(data, output: str | None) -> None:
@@ -84,8 +91,7 @@ def main() -> None:
 def validate(graph: str) -> None:
     """Check a temporal-graph JSON file against all invariants."""
     try:
-        with open(graph, encoding="utf-8") as handle:
-            tgraph.from_json(handle.read())
+        _load_graph(graph)
     except TempowlError as exc:
         _emit({"ok": False, "error": type(exc).__name__, "detail": str(exc)}, None)
         sys.exit(1)
@@ -331,8 +337,7 @@ def fuzz(property_name, trials, seed, jobs) -> None:
 @click.argument("events", type=click.Path(exists=True))
 def stats(events) -> None:
     """Node/edge/step counts of a CSV event file."""
-    with open(events, encoding="utf-8") as handle:
-        rows = tgraph.events_from_csv(handle.read())
+    rows = tgraph.events_from_csv(_read_text(events))
     tgraph.reject_self_loops(rows)
     nodes = {x for u, v, _ in rows for x in (u, v)}
     steps = {t for _, _, t in rows}

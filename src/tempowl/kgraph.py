@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from tempowl.errors import UnknownNode, ValidationError
@@ -54,6 +55,15 @@ class KnowledgeGraph:
     _in_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (
+            set(map(type, self.nodes)) <= {TimestampedNode}
+            and set(map(type, map(itemgetter(0), self.nodes))) <= {str}
+            and set(map(type, map(itemgetter(1), self.nodes))) <= {int}
+        ):
+            bad = next(tn for tn in self.nodes if not _is_node(tn))
+            raise ValidationError(
+                f"knowledge-graph node {bad!r} is not a (string, integer) pair"
+            )
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
         object.__setattr__(self, "relations", frozenset(self.relations))
         object.__setattr__(self, "edges", frozenset(self.edges))
@@ -63,16 +73,34 @@ class KnowledgeGraph:
             raise ValidationError("duplicate knowledge-graph nodes")
         if set(self.colours) != node_set:
             raise ValidationError("colours are not total over the nodes")
-        for r, src, tgt in self.edges:
-            if r < 0:
-                raise ValidationError(f"negative relation label {r}")
-            if r not in self.relations:
-                raise ValidationError(f"edge label {r} missing from relation set")
-            if src not in node_set or tgt not in node_set:
-                raise ValidationError(f"edge ({r}, {src}, {tgt}) leaves the node set")
+        if not set(map(type, self.colours.values())) <= {str}:
+            tn, c = next(kv for kv in self.colours.items() if type(kv[1]) is not str)
+            raise ValidationError(f"node {tn} has a non-string colour {c!r}")
+        labels = set(map(itemgetter(0), self.edges))
+        for r in labels | self.relations:
+            if type(r) is not int:  # bool is an int subclass, and excluded
+                raise ValidationError(f"relation label {r!r} is not an integer")
+        ends = set(map(itemgetter(1), self.edges))
+        ends.update(map(itemgetter(2), self.edges))
+        if (
+            min(labels, default=0) < 0
+            or not labels <= self.relations
+            or not ends <= node_set
+        ):
+            for r, src, tgt in self.edges:  # name the first bad edge
+                if r < 0:
+                    raise ValidationError(f"negative relation label {r}")
+                if r not in self.relations:
+                    raise ValidationError(f"edge label {r} missing from relation set")
+                if src not in node_set or tgt not in node_set:
+                    raise ValidationError(f"edge ({r}, {src}, {tgt}) leaves the node set")
+        if min(self.relations, default=0) < 0:
+            raise ValidationError(f"negative relation label {min(self.relations)}")
         index: dict[TimestampedNode, list[tuple[int, TimestampedNode]]] = {}
-        for r, src, tgt in sorted(self.edges, key=lambda e: (e[2], e[0], e[1])):
+        for r, src, tgt in self.edges:
             index.setdefault(tgt, []).append((r, src))
+        for pairs in index.values():  # many short sorts beat one sort of every edge
+            pairs.sort()
         object.__setattr__(self, "_in_index", index)
 
     def incoming(self, node: TimestampedNode) -> list[tuple[int, TimestampedNode]]:
@@ -80,53 +108,60 @@ class KnowledgeGraph:
         return self._in_index.get(node, [])
 
 
-def _colour_map(tg: TemporalGraph) -> dict[TimestampedNode, str]:
+def _is_node(tn) -> bool:
+    # exact types: a bool time index or a str subclass is not accepted
+    return (
+        type(tn) is TimestampedNode
+        and type(tn.node) is str
+        and type(tn.time_index) is int
+    )
+
+
+def _encode(tg: TemporalGraph, local: bool) -> KnowledgeGraph:
+    """`k_glob` (local False) or `k_loc` (local True), with one node object
+    per (node, time index)."""
+    check_snapshot_count(tg)
+    times = tg.times
+    n = len(times)
+    # endpoints outside the node ids get objects too, so that the knowledge
+    # graph reports the edge that leaves its node set
+    names = set(tg.node_ids)
+    for snap in tg.snapshots:
+        names.update(*snap.edges)
+    at = {v: [TimestampedNode(v, i) for i in range(n)] for v in names}
+    edges: set[Edge] = set()
+    for i, snap in enumerate(tg.snapshots):
+        for u, v in snap.edges:
+            us, vs = at[u], at[v]
+            for j in range(i, n):
+                r = times[j] - times[i]
+                k = j if local else i
+                edges.add((r, vs[k], us[j]))
+                edges.add((r, us[k], vs[j]))
     try:
-        return {
-            TimestampedNode(v, i): snap.colours[v]
+        colours = {
+            at[v][i]: snap.colours[v]
             for i, snap in enumerate(tg.snapshots)
             for v in tg.node_ids
         }
     except KeyError as exc:
         raise missing_colour(tg, exc.args[0]) from None
+    return KnowledgeGraph(
+        tuple(at[v][i] for i in range(n) for v in tg.node_ids),
+        frozenset(map(itemgetter(0), edges)),
+        frozenset(edges),
+        colours,
+    )
 
 
 def k_glob(tg: TemporalGraph) -> KnowledgeGraph:
     """Encoding whose refinement tracks message passing across time points."""
-    check_snapshot_count(tg)
-    n = len(tg.times)
-    edges: set[Edge] = set()
-    for i, snap in enumerate(tg.snapshots):
-        for u, v in snap.edges:
-            for j in range(i, n):
-                r = tg.times[j] - tg.times[i]
-                edges.add((r, TimestampedNode(v, i), TimestampedNode(u, j)))
-                edges.add((r, TimestampedNode(u, i), TimestampedNode(v, j)))
-    return KnowledgeGraph(
-        tuple(tg.timestamped_nodes()),
-        frozenset(r for r, _, _ in edges),
-        frozenset(edges),
-        _colour_map(tg),
-    )
+    return _encode(tg, local=False)
 
 
 def k_loc(tg: TemporalGraph) -> KnowledgeGraph:
     """Encoding whose edges stay inside one time slice; gaps live in labels."""
-    check_snapshot_count(tg)
-    n = len(tg.times)
-    edges: set[Edge] = set()
-    for i, snap in enumerate(tg.snapshots):
-        for u, v in snap.edges:
-            for j in range(i, n):
-                r = tg.times[j] - tg.times[i]
-                edges.add((r, TimestampedNode(v, j), TimestampedNode(u, j)))
-                edges.add((r, TimestampedNode(u, j), TimestampedNode(v, j)))
-    return KnowledgeGraph(
-        tuple(tg.timestamped_nodes()),
-        frozenset(r for r, _, _ in edges),
-        frozenset(edges),
-        _colour_map(tg),
-    )
+    return _encode(tg, local=True)
 
 
 def _union_node(origin: int, tn: TimestampedNode) -> TimestampedNode:

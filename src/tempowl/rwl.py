@@ -12,20 +12,26 @@ are directly comparable across the two origins.
 
 Everything runs through one pure-Python kernel, `_refine_rounds`, over flat
 integer arrays: a CSR layout of each node's incoming edges plus the dense
-layer-0 colour ids (see `kernel_inputs`). The kernel is incremental. After
-the first round it re-signs only the nodes a split can change: those with an
-in-neighbour in a piece of a split class other than its largest piece. This
-is the "all but the largest piece" rule of Paige and Tarjan ("Three
-partition refinement algorithms", 1987) and of Berkholz, Bonsma and Grohe
-("Tight lower and upper bounds for the complexity of canonical colour
-refinement", 2017). Every other node keeps its class, renamed. The
-partitions, and so the colour ids and `stable_at`, are those of re-signing
-every node in every round; `_refine_rounds` gives the argument.
+layer-0 colour ids (see `kernel_inputs`). The kernel re-signs every node
+only while the splits are large. After that it is incremental: it re-signs
+only the nodes a split can change, those with an in-neighbour in a piece of
+a split class other than its largest piece. This is the "all but the
+largest piece" rule of Paige and Tarjan ("Three partition refinement
+algorithms", 1987) and of Berkholz, Bonsma and Grohe ("Tight lower and upper
+bounds for the complexity of canonical colour refinement", 2017). Every
+other node keeps its class, renamed. A class's first-encounter id is the
+rank of its smallest node among the classes' smallest nodes, so a split
+re-ranks only the classes from the smallest changed one onward, and the run
+ends on the first round that splits nothing. The partitions, and so the
+colour ids and `stable_at`, are those of re-signing every node in every
+round; `_refine_rounds` gives the argument.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import add
 
 from tempowl.errors import LayerNotComputed, UnknownNode, ValidationError
 from tempowl.kgraph import KnowledgeGraph
@@ -69,7 +75,7 @@ def kernel_inputs(
     ids, dense layer-0 colour ids). `kgraph.union_arrays` gives the same
     arrays for one encoded graph or a union of two; the tests hold them equal.
     """
-    nodes = sorted(kg.nodes)
+    nodes = list(kg.nodes)  # a KnowledgeGraph keeps its nodes sorted
     pos = {tn: i for i, tn in enumerate(nodes)}
     rel_ids = {r: i for i, r in enumerate(sorted({r for r, _, _ in kg.edges}))}
     colour_ids: dict[str, int] = {}
@@ -100,16 +106,21 @@ def _refine_rounds(
 ) -> tuple[list[list[int]], int | None]:
     """Iterate colour refinement until the partition stops splitting.
 
-    Each layer maps every node to a dense id assigned in first-encounter
-    order over the node sweep 0..n-1. Because consecutive layers with equal
-    partitions then produce elementwise-equal arrays, stabilisation is a
-    plain array comparison; the duplicate layer is not stored.
+    Each stored layer maps every node to a dense id assigned in
+    first-encounter order over the node sweep 0..n-1, so a class's id is the
+    rank of its smallest node among the classes' smallest nodes. A node's
+    signature is its colour plus the sorted in-multiset of (source colour,
+    label) pairs, each pair coded as the integer label * n + colour (colours
+    are below n, so the code is injective).
 
-    Round 1 signs every node with (colour, sorted (source colour, label)
-    in-multiset). After that, a node is re-signed only if it is *touched*:
-    it has an in-neighbour in a piece of a class that split in the round
-    before, other than that class's largest piece. Every other node keeps
-    its class. This gives the partition that re-signing every node gives:
+    The first rounds re-sign every node and number the signatures directly,
+    as plain full re-signing does. Once a round's split looks small enough
+    that the next round would re-sign fewer than about half the nodes, the
+    kernel builds its reverse adjacency and class member sets and turns
+    incremental. A node is then re-signed only if it is *touched*: it has an
+    in-neighbour in a piece of a class that split in the round before, other
+    than that class's largest piece. Every other node keeps its class. This
+    gives the partition that re-signing every node gives:
 
     * An untouched node's in-edges from a split class all come from the
       largest piece, so its new in-multiset is a function of its old one.
@@ -121,51 +132,100 @@ def _refine_rounds(
       p, so the two are split apart.
     * Touched classmates are compared by their full signatures.
 
-    So untouched nodes are keyed by their class and touched ones by their
-    signature, and the renumbering in sweep order gives the same ids.
     Classes are kept under internal block ids. The untouched rest of a
     split class keeps its block, or its largest piece when every member was
-    re-signed, and each other piece gets a new one. A round therefore costs
-    Python work only for touched nodes and the small pieces. Renumbering
-    into the stored layer and the stabilisation test are C-level passes
-    over the n nodes.
+    re-signed, and each other piece gets a new one. Each block's smallest
+    node (its *first*) sits in the list `sorted_firsts`, and `rank[block]`
+    is the first's index there, which is the class's first-encounter id. A
+    split inserts the firsts of its new parts, so only the classes whose
+    firsts are at or past the smallest changed first need a new rank, and the
+    stored layer is one C-level `map` of `rank` over the blocks. A round
+    therefore costs Python work only for touched nodes, the small pieces
+    and the re-ranked classes.
+
+    The partition refines from round to round, so it is stable as soon as
+    a round splits nothing; that round's layer repeats the one before and
+    is not stored. The one exception is round 1 when `init` is not in
+    first-encounter order: its renumbered layer differs from `init` though
+    the partition does not, so it is stored and layer 1 is stable.
 
     Returns (layers, stable_at) where layers[0] is `init` and stable_at is
     None when `max_layers` ran out before a repeat was seen.
     """
     layers = [list(init)]
-    block = _first_encounter(init)
-    members: list[set[int]] = [set() for _ in range(max(block, default=-1) + 1)]
+    ids: dict[int, int] = {}
+    block = [ids.setdefault(c, len(ids)) for c in init]
+    classes = len(ids)
+    coded = [r * n for r in rels]
+    rounds = 0
+    while rounds < max_layers:
+        rounds += 1
+        get = block.__getitem__
+        table: dict[tuple, int] = {}
+        new = []
+        lo = indptr[0]
+        for v in range(n):
+            hi = indptr[v + 1]
+            sig = (block[v], *sorted(map(add, coded[lo:hi], map(get, srcs[lo:hi]))))
+            new.append(table.setdefault(sig, len(table)))
+            lo = hi
+        if len(table) == classes:  # no split
+            if len(layers) > 1 or new == layers[0]:
+                return layers, len(layers) - 1
+            layers.append(new)  # stable, as the next round will show
+            continue
+        layers.append(new)
+        split, block, classes = len(table) - classes, new, len(table)
+        # The new pieces, at the mean class size, would touch about
+        # split * len(srcs) / classes nodes. Split-off pieces are smaller
+        # than the mean, and on the benchmark graphs the estimate runs two
+        # to five times high, so 2n here means about half the nodes.
+        if split * len(srcs) < 2 * n * classes:
+            break
+    else:
+        return layers, None
+
+    block = list(block)  # the stored layer stays as it is
+    members: list[set[int]] = [set() for _ in range(classes)]
+    first: list[int] = []
     for v, b in enumerate(block):
+        if b == len(first):
+            first.append(v)
         members[b].add(v)
+    sorted_firsts = list(first)
+    rank = list(range(classes))
     targets: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         for u in srcs[indptr[v]:indptr[v + 1]]:
             targets[u].append(v)
-    touched = range(n)
-    stable_at = None
-    for _ in range(max_layers):
+    pieces_of: dict[int, list[int]] = {}
+    for sig, b in table.items():
+        pieces_of.setdefault(sig[0], []).append(b)
+    touched: set[int] = set()
+    for pieces in pieces_of.values():
+        largest = max(pieces, key=lambda b: len(members[b]))
+        for b in pieces:
+            if b != largest:
+                for v in members[b]:
+                    touched.update(targets[v])
+    while rounds < max_layers:
+        rounds += 1
+        get = block.__getitem__
         groups: dict[tuple, list[int]] = {}
         for v in touched:
-            sig = (
-                block[v],
-                tuple(
-                    sorted(
-                        (block[srcs[e]], rels[e])
-                        for e in range(indptr[v], indptr[v + 1])
-                    )
-                ),
-            )
+            lo, hi = indptr[v], indptr[v + 1]
+            sig = (block[v], *sorted(map(add, coded[lo:hi], map(get, srcs[lo:hi]))))
             group = groups.get(sig)
             if group is None:
                 groups[sig] = [v]
             else:
                 group.append(v)
-        pieces_of: dict[int, list[list[int]]] = {}
-        for (b, _), group in groups.items():
-            pieces_of.setdefault(b, []).append(group)
+        split_of: dict[int, list[list[int]]] = {}
+        for sig, group in groups.items():
+            split_of.setdefault(sig[0], []).append(group)
         touched = set()
-        for b, pieces in pieces_of.items():
+        changed = n  # the smallest first whose class changed
+        for b, pieces in split_of.items():
             rest = members[b]
             if len(pieces) == 1 and len(pieces[0]) == len(rest):
                 continue  # every member re-signed alike: no split
@@ -179,6 +239,16 @@ def _refine_rounds(
                     for v in piece:
                         block[v] = b_new
                     members.append(set(piece))
+                    low = min(piece)
+                    if low != first[b]:
+                        insort(sorted_firsts, low)
+                    first.append(low)
+                    rank.append(0)
+                    changed = min(changed, low)
+            if block[first[b]] != b:  # b's first left with a piece
+                low = first[b] = min(rest)
+                insort(sorted_firsts, low)
+                changed = min(changed, low)
             if stays is None:
                 pieces.append(rest)
                 if len(rest) > len(largest):
@@ -187,19 +257,12 @@ def _refine_rounds(
                 if piece is not largest:
                     for v in piece:
                         touched.update(targets[v])
-        new = _first_encounter(block)
-        if new == layers[-1]:
-            stable_at = len(layers) - 1
-            break
-        layers.append(new)
-    return layers, stable_at
-
-
-def _first_encounter(labels: list[int]) -> list[int]:
-    """Relabel with dense ids handed out in order of first appearance."""
-    order = dict.fromkeys(labels)
-    ids = dict(zip(order, range(len(order))))
-    return list(map(ids.__getitem__, labels))
+        if changed == n:
+            return layers, len(layers) - 1
+        for i in range(bisect_left(sorted_firsts, changed), len(sorted_firsts)):
+            rank[block[sorted_firsts[i]]] = i
+        layers.append(list(map(rank.__getitem__, block)))
+    return layers, None
 
 
 def refine_arrays(

@@ -141,9 +141,10 @@ def validate(tg: TemporalGraph) -> None:
         raise ValidationError("duplicate node ids")
     known = set(tg.node_ids)
     for i, snap in enumerate(tg.snapshots):
-        for v in sorted(snap.colours):
-            if v not in known:
-                raise UnknownNode(f"snapshot {i}: colour given for unknown node {v!r}")
+        unknown = snap.colours.keys() - known
+        if unknown:  # keys of any type: strings first, in sorted order
+            v = min(unknown, key=lambda v: (not isinstance(v, str), str(v)))
+            raise UnknownNode(f"snapshot {i}: colour given for unknown node {v!r}")
         for v in tg.node_ids:
             if v not in snap.colours:
                 raise MissingColour(f"snapshot {i}: no colour for node {v!r}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
 from click.testing import CliRunner
 
 from tempowl import properties
@@ -422,3 +423,24 @@ def test_out_of_range_options_are_usage_errors(tmp_path):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, args
         assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        (["validate"], {"ok": False, "error": "ValidationError"}),
+        (["refine"], {"error": "ValidationError"}),
+        (["transform", "--encoding", "loc"], {"error": "ValidationError"}),
+        (["stats"], {"error": "ValidationError"}),
+    ],
+    ids=["validate", "refine", "transform", "stats"],
+)
+def test_non_utf8_files_are_validation_errors(tmp_path, command, expected):
+    # a UTF-16 byte-order mark is not valid UTF-8
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    result = CliRunner().invoke(main, [*command, str(path)])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert "not UTF-8 text" in payload.pop("detail")
+    assert payload == expected

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from pairs import union_pairs
 from tempowl import rwl
 from tempowl.gen import fixture, random_tg
-from tempowl.errors import UnknownNode
+from tempowl.errors import UnknownNode, ValidationError
 from tempowl.kgraph import (
     KnowledgeGraph,
     disjoint_union,
@@ -212,3 +214,56 @@ def test_kg_json_round_trip():
         for encode in (k_glob, k_loc):
             kg = encode(tg)
             assert from_dict(to_dict(kg)) == kg
+
+
+_A, _B = TN("a", 0), TN("b", 0)
+_BOTH = {_A: "g", _B: "g"}
+
+
+@pytest.mark.parametrize(
+    "nodes, relations, edges, colours, message",
+    [
+        ((_A, _A), {0}, set(), {_A: "g"}, "duplicate knowledge-graph nodes"),
+        ((_A, _B), {0}, set(), {_A: "g"}, "colours are not total over the nodes"),
+        ((_A, _B), {0, -1}, {(-1, _A, _B)}, _BOTH, "negative relation label -1"),
+        ((_A, _B), {0}, {(1, _A, _B)}, _BOTH, "edge label 1 missing from relation set"),
+        ((_A,), {0}, {(0, _A, _B)}, {_A: "g"}, f"edge (0, {_A}, {_B}) leaves the node set"),
+        ((_A, _B), {"x"}, {("x", _A, _B)}, _BOTH, "relation label 'x' is not an integer"),
+        ((_A, _B), {True}, {(True, _A, _B)}, _BOTH, "relation label True is not an integer"),
+        ((_A, _B), {1.5}, {(1.5, _A, _B)}, _BOTH, "relation label 1.5 is not an integer"),
+        ((_A, _B), {0}, set(), {_A: "g", _B: 1}, f"node {_B} has a non-string colour 1"),
+        (
+            (TN("a", True),),
+            set(),
+            set(),
+            {TN("a", True): "g"},
+            "node TimestampedNode(node='a', time_index=True) is not a (string, integer) pair",
+        ),
+    ],
+    ids=[
+        "duplicate_nodes",
+        "colours_not_total",
+        "negative_label",
+        "label_outside_relations",
+        "edge_leaves_nodes",
+        "str_label",
+        "bool_label",
+        "float_label",
+        "int_colour",
+        "bool_time_index",
+    ],
+)
+def test_knowledge_graph_constructor_errors(nodes, relations, edges, colours, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        KnowledgeGraph(nodes, frozenset(relations), frozenset(edges), colours)
+
+
+def test_kg_json_rejects_bool_time_indexes_and_non_string_colours():
+    for document in (
+        {"nodes": [["a", True]], "colours": {"a#1": "g"}, "edges": []},
+        {"nodes": [["a", 0]], "colours": {"a#0": 1}, "edges": []},
+        {"nodes": [["a", 0], ["b", 0]], "colours": {"a#0": "g", "b#0": "g"},
+         "edges": [[False, ["a", 0], ["b", 0]]]},
+    ):
+        with pytest.raises(ValidationError):
+            from_dict(document)

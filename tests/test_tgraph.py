@@ -269,3 +269,13 @@ def test_events_csv_rejects_bad_header():
         events_from_csv("x,y,z\na,b,1\n")
     with pytest.raises(ValidationError):
         events_from_csv("u,v,t\na,b,notanint\n")
+
+
+def test_validate_reports_colour_keys_of_mixed_types():
+    tg = TemporalGraph(("a",), (0,), (Snapshot({"a": "g", 1: "g"}, set()),))
+    with pytest.raises(UnknownNode, match="unknown node 1"):
+        validate(tg)
+    # string keys are still reported in sorted order, before other types
+    tg = TemporalGraph(("a",), (0,), (Snapshot({"a": "g", 2: "g", "z": "g", "y": "g"}, set()),))
+    with pytest.raises(UnknownNode, match="unknown node 'y'"):
+        validate(tg)
