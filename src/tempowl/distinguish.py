@@ -9,11 +9,12 @@ separating layer is recorded so fixed-depth networks can be emulated.
 Cross-graph comparison needs no time alignment: relation labels are time
 differences shared by value across the union.
 
-Every query compiles the union straight to the kernel's arrays
-(`kgraph.union_arrays`), refines it once and reads first separating layers
-from the colour histories: `classify_all` for every cross pair, the
+Every query refines the union once through `rwl.refine_graphs`, which
+compiles it straight to the kernel's arrays, and reads first separating
+layers from the colour histories: `classify_all` for every cross pair, the
 single-pair queries (`distinguishable_*`, `classify_pair`) for one. The tests
-hold both to a reference built from the `KnowledgeGraph` union.
+hold both to a reference built from the `KnowledgeGraph` union, and to a
+temporal-WL oracle that works on the temporal graphs themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from itertools import product
 
 from tempowl import rwl
 from tempowl.errors import UnknownNode
-from tempowl.kgraph import union_arrays
 from tempowl.tgraph import TemporalGraph, TimestampedNode
 
 PAIR_CLASSES = ("both", "global_only", "local_only", "neither")
@@ -111,7 +111,7 @@ class ClassifyResult:
 
 
 def _separating_layers(
-    layers: list[list[int]], row_pos: list[int], col_pos: list[int]
+    layers: tuple[tuple[int, ...], ...], row_pos: list[int], col_pos: list[int]
 ) -> list[int | None]:
     """First separating layer of every (row, column) pair, row-major.
 
@@ -142,11 +142,10 @@ def _separating_layers(
 def _pair_layers(tg1, tg2, encoding, rows, cols, max_layers=None):
     """First separating layer of every (row of tg1, column of tg2) pair,
     row-major, from one refinement of the union's encoding."""
-    nodes, indptr, srcs, rels, init = union_arrays((tg1, tg2), encoding)
-    layers, _ = rwl.refine_arrays(indptr, srcs, rels, init, max_layers)
-    pos = {node: i for i, node in enumerate(nodes)}
+    colouring = rwl.refine_graphs((tg1, tg2), encoding, max_layers)
+    pos = colouring.position
     return _separating_layers(
-        layers, [pos[0, a] for a in rows], [pos[1, b] for b in cols]
+        colouring.layers, [pos((0, a)) for a in rows], [pos((1, b)) for b in cols]
     )
 
 

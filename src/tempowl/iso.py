@@ -1,7 +1,8 @@
 """Exact pointwise and timewise isomorphism checkers for desk-scale graphs.
 
 The search is plain backtracking over node bijections. Candidate sets are
-pruned by stable refinement classes of an encoded form of the pair (a sound
+pruned by the stable refinement classes of the two graphs side by side,
+compiled straight to the kernel's arrays with no knowledge graph (a sound
 cut: any isomorphism maps a node to one with equal refinement colours), but
 correctness never relies on refinement being complete — within classes the
 search is exhaustive. Every witness found is re-checked by independent
@@ -17,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from tempowl import rwl
-from tempowl.errors import SizeLimitExceeded
-from tempowl.kgraph import KnowledgeGraph, disjoint_union
-from tempowl.tgraph import TemporalGraph, TimestampedNode
+from tempowl.errors import SizeLimitExceeded, ValidationError
+from tempowl.tgraph import TemporalGraph
 
 DEFAULT_NODE_LIMIT = 64
 
@@ -34,24 +34,29 @@ class IsoWitness:
 
 # --- Generic backtracking matcher ------------------------------------------------
 
-def _encode_for_pruning(
-    nodes: tuple[str, ...],
-    colour_token,
-    rel_edges: dict[int, frozenset[tuple[str, str]]],
-) -> KnowledgeGraph:
-    """View a node-coloured multi-relational undirected graph as a KnowledgeGraph."""
-    tns = tuple(TimestampedNode(v, 0) for v in nodes)
-    edges = set()
-    for r, pairs in rel_edges.items():
-        for u, v in pairs:
-            edges.add((r, TimestampedNode(u, 0), TimestampedNode(v, 0)))
-            edges.add((r, TimestampedNode(v, 0), TimestampedNode(u, 0)))
-    return KnowledgeGraph(
-        tns,
-        frozenset(rel_edges),
-        frozenset(edges),
-        {TimestampedNode(v, 0): repr(colour_token(v)) for v in nodes},
-    )
+def _stable_colours(sides) -> dict[tuple[int, str], int]:
+    """Stable refinement colour of every (side, node) of two graphs, each
+    given as (nodes, colour token of a node, relation -> node -> neighbours).
+
+    The kernel gets the disjoint union of their knowledge-graph views in
+    `rwl.kernel_inputs`' node order, with colours named by the `repr` of
+    their tokens, so the ids are those of refining that union. Relations,
+    snapshot indices, serve as the kernel's relation ids as they are.
+    """
+    sweep = [(k, v) for k, (nodes, _, _) in enumerate(sides) for v in sorted(nodes)]
+    pos = {node: p for p, node in enumerate(sweep)}
+    if len(pos) != len(sweep):
+        raise ValidationError("duplicate node ids")
+    colour_ids: dict[str, int] = {}
+    init = [colour_ids.setdefault(repr(sides[k][1](v)), len(colour_ids)) for k, v in sweep]
+    indptr, srcs, rels = [0], [], []
+    for k, v in sweep:
+        for r, adj in sides[k][2].items():
+            srcs.extend(pos[k, w] for w in adj[v])
+            rels.extend([r] * len(adj[v]))
+        indptr.append(len(srcs))
+    layers, _ = rwl.refine_arrays(indptr, srcs, rels, init)
+    return dict(zip(sweep, layers[-1]))
 
 
 def _match(
@@ -65,31 +70,22 @@ def _match(
     """One bijection nodes1 -> nodes2 preserving colours and every relation."""
     if len(nodes1) != len(nodes2):
         return None
-    merged, origin = disjoint_union(
-        _encode_for_pruning(nodes1, colour1, rel_edges1),
-        _encode_for_pruning(nodes2, colour2, rel_edges2),
-    )
-    colouring = rwl.refine(merged)
-    cls1, cls2 = {}, {}
-    for tagged, cid in zip(colouring.nodes, colouring.layers[-1]):
-        side, tn = origin[tagged]
-        (cls2 if side else cls1)[tn.node] = cid
-    if sorted(cls1.values()) != sorted(cls2.values()):
-        return None
-
-    candidates = {
-        v: sorted(u for u in nodes2 if cls2[u] == cls1[v]) for v in nodes1
-    }
-    if any(not cands for cands in candidates.values()):
-        return None
-    order = sorted(nodes1, key=lambda v: (len(candidates[v]), v))
-
     adj1 = {r: _adjacency(nodes1, pairs) for r, pairs in rel_edges1.items()}
     adj2 = {r: _adjacency(nodes2, pairs) for r, pairs in rel_edges2.items()}
     relations = sorted(set(rel_edges1) | set(rel_edges2))
     for r in relations:
         adj1.setdefault(r, {v: frozenset() for v in nodes1})
         adj2.setdefault(r, {v: frozenset() for v in nodes2})
+
+    cls = _stable_colours(((nodes1, colour1, adj1), (nodes2, colour2, adj2)))
+    if sorted(cls[0, v] for v in nodes1) != sorted(cls[1, u] for u in nodes2):
+        return None
+    candidates = {
+        v: sorted(u for u in nodes2 if cls[1, u] == cls[0, v]) for v in nodes1
+    }
+    if any(not cands for cands in candidates.values()):
+        return None
+    order = sorted(nodes1, key=lambda v: (len(candidates[v]), v))
 
     mapping: dict[str, str] = {}
     used: set[str] = set()
@@ -126,6 +122,8 @@ def _adjacency(
 ) -> dict[str, frozenset[str]]:
     out: dict[str, set[str]] = {v: set() for v in nodes}
     for u, v in pairs:
+        if u not in out or v not in out:
+            raise ValidationError(f"edge ({u}, {v}) leaves the node set")
         out[u].add(v)
         out[v].add(u)
     return {v: frozenset(nbrs) for v, nbrs in out.items()}

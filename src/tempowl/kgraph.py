@@ -14,11 +14,11 @@ Unordered source edges induce both directions, and parallel edges between one
 ordered node pair with distinct labels are allowed (and do occur).
 
 `union_arrays` compiles one temporal graph, or the disjoint union of two,
-straight to the refinement kernel's arrays; every query that starts from
-temporal graphs goes through it. The `KnowledgeGraph` path (`k_glob`/`k_loc`,
-`disjoint_union`) serves where a knowledge graph is the input or the output
-(`transform`, `refine`, the isomorphism search) and is the reference the
-tests hold the arrays to.
+straight to the refinement kernel's arrays for `rwl.refine_graphs`, which
+every query that starts from temporal graphs goes through. The
+`KnowledgeGraph` path (`k_glob`/`k_loc`, `disjoint_union`) serves where a
+knowledge graph is the input or the output (`transform`, the CLI's `refine`)
+and is the reference the tests hold the arrays to.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ class KnowledgeGraph:
             raise ValidationError(
                 f"knowledge-graph node {bad!r} is not a (string, integer) pair"
             )
+        if min(map(itemgetter(1), self.nodes), default=0) < 0:
+            bad = next(tn for tn in self.nodes if tn.time_index < 0)
+            raise ValidationError(f"knowledge-graph node {bad!r} has a negative time index")
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
         object.__setattr__(self, "relations", frozenset(self.relations))
         object.__setattr__(self, "edges", frozenset(self.edges))

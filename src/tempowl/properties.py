@@ -23,7 +23,6 @@ from tempowl.distinguish import (
 from tempowl.errors import ValidationError
 from tempowl.gen import Xorshift64Star, derive_seed, fixture, permuted_copy, random_tg
 from tempowl.iso import pointwise_iso
-from tempowl.kgraph import union_arrays
 from tempowl.tgraph import TimestampedNode, shifted_copy
 from tempowl.tgnn import ModelConfig, embedding_equal, forward
 
@@ -155,24 +154,19 @@ def check_lemma1(trial_seed: int) -> dict | None:
         colour_persistent=True,
         uniform_grid=True,
     )
-    nodes, indptr, srcs, rels, init = union_arrays((tg,), "loc")
-    layers, _ = rwl.refine_arrays(indptr, srcs, rels, init)
-    pos = {tn: p for p, (_, tn) in enumerate(nodes)}
+    colouring = rwl.refine_graphs((tg,), "loc")
     # contrapositive sweep: nodes equal after the shift must already have been
     # equal before it, which visits exactly the instances the property quantifies over
-    for layer_ids in layers:
-        classes: dict[int, list[TimestampedNode]] = {}
-        for (_, tn), cid in zip(nodes, layer_ids):
-            classes.setdefault(cid, []).append(tn)
-        for members in classes.values():
+    for layer in range(len(colouring.layers)):
+        for members in rwl.partition_at(colouring, layer):
             for x in range(len(members)):
-                v, i = members[x]
+                _, (v, i) = members[x]
                 for y in range(x + 1, len(members)):
-                    u, j = members[y]
+                    _, (u, j) = members[y]
                     for k in range(1, min(i, j) + 1):
-                        a = pos[TimestampedNode(v, i - k)]
-                        b = pos[TimestampedNode(u, j - k)]
-                        if layer_ids[a] != layer_ids[b]:
+                        a = rwl.colours_at(colouring, layer, (0, (v, i - k)))
+                        b = rwl.colours_at(colouring, layer, (0, (u, j - k)))
+                        if a != b:
                             return {
                                 "seed": trial_seed,
                                 "detail": (
@@ -201,16 +195,11 @@ def check_soundness(trial_seed: int) -> dict | None:
     tg1 = draw("g1")
     tg2 = tg1 if rng.chance(0.25) else draw("g2")
     for mode, encoding in (("global", "glob"), ("local", "loc")):
-        nodes, indptr, srcs, rels, init = union_arrays((tg1, tg2), encoding)
-        layers, _ = rwl.refine_arrays(indptr, srcs, rels, init)
-        # colour classes per layer, as (origin, node) lists in sweep order; the
-        # run is unbounded, so a layer past the stored ones is the last, stable one
-        layer_classes = []
-        for layer in range(_FUZZ_LAYERS + 1):
-            classes: dict[int, list] = {}
-            for node, cid in zip(nodes, layers[min(layer, len(layers) - 1)]):
-                classes.setdefault(cid, []).append(node)
-            layer_classes.append(list(classes.values()))
+        colouring = rwl.refine_graphs((tg1, tg2), encoding)
+        # classes per layer; the run is unbounded, so later layers repeat the last
+        layer_classes = [
+            rwl.partition_at(colouring, layer) for layer in range(_FUZZ_LAYERS + 1)
+        ]
         for k in range(10):
             sim_seed = derive_seed(trial_seed, "sim", k)
             cfg = ModelConfig(

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from operator import add
 
 from tempowl.errors import LayerNotComputed, UnknownNode, ValidationError
-from tempowl.kgraph import KnowledgeGraph
-from tempowl.tgraph import TimestampedNode
+from tempowl.kgraph import KnowledgeGraph, union_arrays
+from tempowl.tgraph import TemporalGraph, TimestampedNode
 
 # Recorded with every benchmark result, which refuses to compare mixed kernels.
 REFINE_BACKEND = "pure-python"
@@ -48,10 +48,11 @@ class Colouring:
     `layers[l][i]` is the colour of `nodes[i]` at layer l; layer 0 is the
     partition induced by the initial knowledge-graph colours. `stable_at` is
     the first layer whose partition the next one repeats, or None when a
-    bounded run stopped before seeing a repeat.
+    bounded run stopped before seeing a repeat. `nodes` are sorted: a knowledge
+    graph's for `refine`, (origin, node) pairs for `refine_graphs`.
     """
 
-    nodes: tuple[TimestampedNode, ...]
+    nodes: tuple
     layers: tuple[tuple[int, ...], ...]
     stable_at: int | None
     _pos: dict = field(init=False, repr=False, compare=False)
@@ -298,6 +299,16 @@ def refine(kg: KnowledgeGraph, max_layers: int | None = None) -> Colouring:
     return Colouring(
         tuple(nodes), tuple(tuple(layer) for layer in layers), stable_at
     )
+
+
+def refine_graphs(
+    graphs: tuple[TemporalGraph, ...], encoding: str, max_layers: int | None = None
+) -> Colouring:
+    """`refine` over `kgraph.union_arrays(graphs, encoding)`: one temporal
+    graph's encoding or the disjoint union of two, nodes as (origin, node)."""
+    nodes, indptr, srcs, rels, init = union_arrays(graphs, encoding)
+    layers, stable_at = refine_arrays(indptr, srcs, rels, init, max_layers)
+    return Colouring(tuple(nodes), tuple(map(tuple, layers)), stable_at)
 
 
 def colours_at(colouring: Colouring, layer: int, node: TimestampedNode) -> int:

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import Callable
 
 from tempowl.errors import ConfigMismatch, LayerNotComputed, UnknownNode
 from tempowl.gen import Xorshift64Star, derive_seed
@@ -51,10 +50,6 @@ VARIANTS = ("sum_sign", "concat_sum_relu", "hash_injective")
 WEIGHT_RANGE = (-3, 3)
 
 
-def identity_time_encoding(gap: int) -> int:
-    return gap
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Structural form plus the seed that fixes all integer parameters."""
@@ -64,7 +59,6 @@ class ModelConfig:
     width: int = 8
     variant: str = "sum_sign"
     seed: int = 0
-    time_encoding: Callable[[int], int] = identity_time_encoding
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -236,9 +230,8 @@ def _forward_sum_sign(cfg, tokens, msgs):
 
 def _forward_concat_sum_relu(cfg, tokens, msgs):
     seed, d = cfg.seed, cfg.width
-    encode = cfg.time_encoding
     sources = [[src for src, _ in m] for m in msgs]
-    gap_sums = [sum(encode(gap) for _, gap in m) for m in msgs]
+    gap_sums = [sum(gap for _, gap in m) for m in msgs]
     zero = (0,) * d
     h = [_colour_vector(seed, token, d) for token in tokens]
     layers = [h]

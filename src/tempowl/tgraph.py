@@ -78,10 +78,6 @@ class TemporalGraph:
         object.__setattr__(self, "times", tuple(self.times))
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
 
-    @property
-    def n_times(self) -> int:
-        return len(self.times)
-
     def timestamped_nodes(self) -> list[TimestampedNode]:
         """All (node, time index) pairs, time-major."""
         return [
@@ -137,6 +133,8 @@ def validate(tg: TemporalGraph) -> None:
     for v in tg.node_ids:
         if not isinstance(v, str):
             raise ValidationError(f"node id {v!r} is not a string")
+        if not v:
+            raise ValidationError("empty node id")
     if len(set(tg.node_ids)) != len(tg.node_ids):
         raise ValidationError("duplicate node ids")
     known = set(tg.node_ids)
@@ -242,6 +240,8 @@ def from_events(
         raise EmptyEdgeSet("no events")
     reject_self_loops(events)
     nodes = tuple(sorted({x for u, v, _ in events for x in (u, v)}))
+    if "" in nodes:
+        raise ValidationError("empty node id in events")
     times = tuple(sorted({t for _, _, t in events}))
     colours = {v: default_colour for v in nodes}
     by_time: dict[int, set[tuple[str, str]]] = {t: set() for t in times}
@@ -324,6 +324,8 @@ def events_from_csv(text: str) -> list[tuple[str, str, int]]:
         if len(row) != 3:
             raise ValidationError(f"expected 3 columns, got {row!r}")
         u, v, t = row
+        if not u or not v:
+            raise ValidationError(f"empty node id in {row!r}")
         try:
             events.append((u, v, int(t)))
         except ValueError as exc:

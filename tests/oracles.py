@@ -2,8 +2,9 @@
 
 Nothing here may call the engine code paths it is meant to check: the
 refinement oracle compares nodes pairwise without interning or hashing, the
-full re-sign loop re-signs every node in every round, and the isomorphism
-oracle enumerates every bijection.
+full re-sign loop re-signs every node in every round, the temporal-WL oracle
+refines the temporal graphs themselves and builds no knowledge graph, and the
+isomorphism oracle enumerates every bijection.
 """
 
 from __future__ import annotations
@@ -90,6 +91,54 @@ def full_resign_rounds(n, indptr, srcs, rels, init, max_layers):
             return layers, len(layers) - 1
         layers.append(new)
     return layers, None
+
+
+def temporal_wl_layers(graphs, local):
+    """Temporal WL, as the paper defines it, on one or more graphs side by side.
+
+    Layer 0 names each (origin, node, time index) by its colour in that
+    snapshot. Layer l + 1 names (v, j) by its layer-l name and the multiset
+    of (t_j - t_i, layer-l name of the sender) over the edges {u, v} of the
+    snapshots i <= j, where the sender is (u, i) in the global variant and
+    (u, j) in the local one. Each layer renames its values by their rank
+    among the sorted `repr`s, so names are comparable across the graphs.
+    Returns every layer up to the first that splits no class, which is left
+    out, as dicts keyed by (origin, node, time index).
+    """
+    names, inbox = {}, {}
+    for k, tg in enumerate(graphs):
+        for j, snap in enumerate(tg.snapshots):
+            for v in tg.node_ids:
+                names[k, v, j] = repr(snap.colours[v])
+                inbox[k, v, j] = [
+                    (tg.times[j] - tg.times[i], (k, b if a == v else a, j if local else i))
+                    for i in range(j + 1)
+                    for a, b in tg.snapshots[i].edges
+                    if v in (a, b)
+                ]
+    layers = [_ranked(names)]
+    while True:
+        prev = layers[-1]
+        new = _ranked({
+            x: repr((prev[x], sorted((gap, prev[src]) for gap, src in inbox[x])))
+            for x in prev
+        })
+        if len(set(new.values())) == len(set(prev.values())):
+            return layers
+        layers.append(new)
+
+
+def _ranked(values):
+    rank = {value: r for r, value in enumerate(sorted(set(values.values())))}
+    return {x: rank[value] for x, value in values.items()}
+
+
+def first_difference(layers, x, y, bound=None):
+    """First layer, up to `bound`, whose names of x and y differ; else None."""
+    for layer, names in enumerate(layers[: None if bound is None else bound + 1]):
+        if names[x] != names[y]:
+            return layer
+    return None
 
 
 def brute_force_timewise_maps(tg1, tg2):

@@ -335,6 +335,7 @@ def test_stats_reports_bad_events_as_errors(tmp_path):
     cases = (
         ("u,v,t\na,a,1\na,b,2\n", "SelfLoop"),
         ("a,b,c\n", "ValidationError"),
+        ("u,v,t\n,b,1\n", "ValidationError"),
     )
     for text, error in cases:
         path.write_text(text, encoding="utf-8")

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from oracles import first_difference, temporal_wl_layers
 from pairs import union_pairs
 from tempowl import rwl
 from tempowl.distinguish import (
@@ -137,6 +138,57 @@ def test_single_pair_queries_match_reference_at_every_bound():
         ):
             for bound in (None, 0, 1, 2):
                 for (row, col), layer in _reference_layers(a, b, encode, bound).items():
+                    verdict = query(a, row, b, col, bound)
+                    assert (verdict.distinguishable, verdict.first_layer) == (
+                        layer is not None,
+                        layer,
+                    )
+
+
+def _oracle_pairs(seeds):
+    """`union_pairs()`, plus seeded pairs with colour drift and uneven grids."""
+    yield from union_pairs()
+    for seed in range(seeds):
+        draw = dict(
+            snapshots=1 + seed % 4,
+            edge_prob=(0.3, 0.5, 0.7)[seed % 3],
+            palette=("green", "blue", "red")[: 1 + seed % 3],
+            uniform_grid=seed % 4 == 0,
+        )
+        yield random_tg(seed, nodes=2 + seed % 4, **draw), random_tg(
+            seed + 500, nodes=2 + (seed + 1) % 4, **draw
+        )
+
+
+def _oracle_layers(a, b, local, bound=None):
+    """First separating layer of every cross pair by the temporal-WL oracle."""
+    layers = temporal_wl_layers((a, b), local)
+    return {
+        (row, col): first_difference(layers, (0, *row), (1, *col), bound)
+        for row in a.timestamped_nodes()
+        for col in b.timestamped_nodes()
+    }
+
+
+def test_classify_all_matches_temporal_wl_oracle():
+    for a, b in _oracle_pairs(60):
+        result = classify_all(a, b)
+        glob, loc = _oracle_layers(a, b, False), _oracle_layers(a, b, True)
+        assert result.global_layers == glob
+        assert result.local_layers == loc
+        assert result.classes == {
+            pair: CLASS_OF[glob[pair] is not None, loc[pair] is not None] for pair in glob
+        }
+
+
+def test_single_pair_queries_match_temporal_wl_oracle_at_small_bounds():
+    for a, b in _oracle_pairs(24):
+        for query, local in ((distinguishable_global, False), (distinguishable_local, True)):
+            layers = temporal_wl_layers((a, b), local)
+            pairs = list(product(a.timestamped_nodes(), b.timestamped_nodes()))
+            for row, col in pairs[::11]:
+                for bound in (0, 1, 2):
+                    layer = first_difference(layers, (0, *row), (1, *col), bound)
                     verdict = query(a, row, b, col, bound)
                     assert (verdict.distinguishable, verdict.first_layer) == (
                         layer is not None,

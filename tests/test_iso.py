@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from oracles import brute_force_snapshot_iso_exists, brute_force_timewise_maps
-from tempowl.errors import SizeLimitExceeded
+from pairs import union_pairs
+from tempowl import iso, rwl
+from tempowl.errors import SizeLimitExceeded, ValidationError
 from tempowl.gen import fixture, permuted_copy, random_tg
 from tempowl.iso import (
     pointwise_iso,
@@ -13,7 +15,8 @@ from tempowl.iso import (
     verify_pointwise,
     verify_timewise,
 )
-from tempowl.tgraph import Snapshot, TemporalGraph, shifted_copy
+from tempowl.kgraph import KnowledgeGraph, disjoint_union
+from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode, shifted_copy
 
 
 def test_fig5_pointwise_witness_matches_worked_example():
@@ -184,3 +187,57 @@ def test_verification_rejects_corrupted_witnesses():
     assert not verify_pointwise(
         tg, copy, tuple([not_a_bijection] * len(tg.times))
     )
+
+
+def test_edges_to_unknown_nodes_are_validation_errors():
+    # built without validate: the edge (a, z) names a node outside node_ids
+    snap = Snapshot({"a": "g", "b": "g"}, {("a", "b")})
+    ok = TemporalGraph(("a", "b"), (1,), (snap,))
+    stray = TemporalGraph(("a", "b"), (1,), (Snapshot(snap.colours, {("a", "z")}),))
+    for check in (pointwise_iso, timewise_iso):
+        for tg1, tg2 in ((stray, ok), (ok, stray), (stray, stray)):
+            with pytest.raises(ValidationError, match="leaves the node set"):
+                check(tg1, tg2)
+
+
+def _pruning_input(tg, index):
+    """(nodes, colour, relation -> edges) as the pointwise search sees snapshot
+    `index` of tg, or, for index None, as the timewise search sees all of tg."""
+    if index is None:
+        return (
+            tg.node_ids,
+            lambda v: tuple(s.colours[v] for s in tg.snapshots),
+            {i: s.edges for i, s in enumerate(tg.snapshots)},
+        )
+    snap = tg.snapshots[index]
+    return tg.node_ids, lambda v: snap.colours[v], {0: snap.edges}
+
+
+def _knowledge_graph(nodes, colour, rel_edges):
+    """One node per graph node, each edge read both ways, colours by repr."""
+    at = {v: TimestampedNode(v, 0) for v in nodes}
+    edges = {
+        (r, at[a], at[b])
+        for r, pairs in rel_edges.items()
+        for u, v in pairs
+        for a, b in ((u, v), (v, u))
+    }
+    colours = {at[v]: repr(colour(v)) for v in nodes}
+    return KnowledgeGraph(tuple(at.values()), frozenset(rel_edges), frozenset(edges), colours)
+
+
+def test_pruning_colours_are_those_of_the_knowledge_graph_union():
+    for tg1, tg2 in union_pairs():
+        for index in (None, *range(min(len(tg1.times), len(tg2.times)))):
+            inputs = [_pruning_input(tg, index) for tg in (tg1, tg2)]
+            merged, origin = disjoint_union(*(_knowledge_graph(*x) for x in inputs))
+            colouring = rwl.refine(merged)
+            expected = {}
+            for tagged, cid in zip(colouring.nodes, colouring.layers[-1]):
+                side, tn = origin[tagged]
+                expected[side, tn.node] = cid
+            sides = [
+                (nodes, colour, {r: iso._adjacency(nodes, e) for r, e in rel_edges.items()})
+                for nodes, colour, rel_edges in inputs
+            ]
+            assert iso._stable_colours(sides) == expected

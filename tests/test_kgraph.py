@@ -239,6 +239,13 @@ _BOTH = {_A: "g", _B: "g"}
             {TN("a", True): "g"},
             "node TimestampedNode(node='a', time_index=True) is not a (string, integer) pair",
         ),
+        (
+            (_A, TN("a", -1)),
+            set(),
+            set(),
+            {_A: "g", TN("a", -1): "g"},
+            "node TimestampedNode(node='a', time_index=-1) has a negative time index",
+        ),
     ],
     ids=[
         "duplicate_nodes",
@@ -251,6 +258,7 @@ _BOTH = {_A: "g", _B: "g"}
         "float_label",
         "int_colour",
         "bool_time_index",
+        "negative_time_index",
     ],
 )
 def test_knowledge_graph_constructor_errors(nodes, relations, edges, colours, message):
@@ -261,6 +269,7 @@ def test_knowledge_graph_constructor_errors(nodes, relations, edges, colours, me
 def test_kg_json_rejects_bool_time_indexes_and_non_string_colours():
     for document in (
         {"nodes": [["a", True]], "colours": {"a#1": "g"}, "edges": []},
+        {"nodes": [["a", -1]], "colours": {"a#-1": "g"}, "edges": []},
         {"nodes": [["a", 0]], "colours": {"a#0": 1}, "edges": []},
         {"nodes": [["a", 0], ["b", 0]], "colours": {"a#0": "g", "b#0": "g"},
          "edges": [[False, ["a", 0], ["b", 0]]]},

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path
-
 import pytest
 
+from test_architecture import imported_modules
 from tempowl import rwl, tgnn
 from tempowl.distinguish import classify_all
 from tempowl.errors import (
@@ -171,14 +169,7 @@ def test_state_carries_config_and_nodes():
 def test_simulator_shares_no_code_with_the_encoders():
     # forward is the cross-check of refinement, so it may not reuse its code
     banned = {"tempowl.kgraph", "tempowl.rwl", "tempowl.distinguish"}
-    tree = ast.parse(Path(tgnn.__file__).read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module)
-            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    imported = imported_modules(tgnn.__file__)
     assert not imported & banned, imported & banned
 
 

@@ -247,6 +247,7 @@ MALFORMED_DOCUMENTS = (
     (json.dumps(dict(_document(), nodes="ab")), "is not a list of node ids"),
     (json.dumps(_document(colours=[["a"]])), "malformed"),
     (json.dumps(_document(nodes=["a", 1], edges=[])), "node id 1 is not a string"),
+    (json.dumps(_document(nodes=["a", ""], edges=[])), "empty node id"),
     (json.dumps(_document(colours={"a": "g", "b": 1})), "node 'b' has a non-string colour"),
 )
 
@@ -269,6 +270,14 @@ def test_events_csv_rejects_bad_header():
         events_from_csv("x,y,z\na,b,1\n")
     with pytest.raises(ValidationError):
         events_from_csv("u,v,t\na,b,notanint\n")
+
+
+def test_empty_node_ids_are_rejected():
+    for text in ("u,v,t\n,b,1\n", "u,v,t\na,,1\n"):
+        with pytest.raises(ValidationError, match="empty node id"):
+            events_from_csv(text)
+    with pytest.raises(ValidationError, match="empty node id"):
+        from_events([("", "b", 1), ("a", "b", 2)], "green")
 
 
 def test_validate_reports_colour_keys_of_mixed_types():
