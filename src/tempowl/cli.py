@@ -4,7 +4,8 @@ Timestamped nodes are addressed as ``name@time`` (exact timestamp) or
 ``name#index`` (0-based snapshot index); the last separator wins, so node
 names containing neither character are unambiguous.
 
-Exit codes: 0 success, 1 failed check or property violation, 2 usage error.
+Exit codes: 0 success, 1 failed check or property violation, 2 usage error,
+3 internal error (a crash; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 
 import click
 
@@ -71,7 +73,9 @@ _ENCODERS = {"glob": kgraph.k_glob, "loc": kgraph.k_loc}
 
 
 class _Group(click.Group):
-    """Reports a library error from any command as ``{"error", "detail"}``, exit 1."""
+    """Reports a library error from any command as ``{"error", "detail"}``,
+    exit 1, and any other exception as ``{"error": "InternalError", ...}``,
+    exit 3, with the traceback on stderr. Click's own exceptions pass through."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -79,6 +83,13 @@ class _Group(click.Group):
         except TempowlError as exc:
             _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
             sys.exit(1)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            traceback.print_exc()
+            detail = f"{type(exc).__name__}: {exc}"
+            _emit({"error": "InternalError", "detail": detail}, None)
+            sys.exit(3)
 
 
 @click.group(cls=_Group)
@@ -182,11 +193,9 @@ def classify(graph_a, graph_b, output) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([""] + [node_key(tn) for tn in result.cols])
-    for row_node in result.rows:
-        writer.writerow(
-            [node_key(row_node)]
-            + [result.classes[(row_node, col)] for col in result.cols]
-        )
+    classes, width = result.classes.flat, len(result.cols)
+    for i, row_node in enumerate(result.rows):
+        writer.writerow([node_key(row_node), *classes[i * width : (i + 1) * width]])
     text = buffer.getvalue()
     if output:
         with open(output, "w", encoding="utf-8") as handle:

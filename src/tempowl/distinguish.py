@@ -20,8 +20,10 @@ temporal-WL oracle that works on the temporal graphs themselves.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
+from operator import is_not
 
 from tempowl import rwl
 from tempowl.errors import UnknownNode
@@ -98,15 +100,67 @@ def classify_pair(
     return CLASS_OF[g.distinguishable, l.distinguishable]
 
 
+class PairTable(Mapping):
+    """Read-only view of a row-major table as a mapping (row, col) -> value.
+
+    `flat` holds the values of `product(rows, cols)` in that order, so a
+    lookup reads two small per-graph dicts (a row's offset in `flat`, a
+    column's index) and one tuple slot; no key tuple or dict of pairs is
+    ever built. A key that is not a (row, col) pair of the table raises
+    `KeyError`, as for a dict. Views compare equal to any mapping, a plain
+    dict included, with the same items.
+    """
+
+    __slots__ = ("_flat", "_rows", "_cols", "_row_offset", "_col_index")
+
+    def __init__(self, rows: tuple, cols: tuple, flat: tuple) -> None:
+        self._flat = flat
+        self._rows, self._cols = rows, cols
+        self._row_offset = {row: i * len(cols) for i, row in enumerate(rows)}
+        self._col_index = {col: j for j, col in enumerate(cols)}
+
+    def __getitem__(self, key):
+        try:
+            row, col = key
+            return self._flat[self._row_offset[row] + self._col_index[col]]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    @property
+    def flat(self) -> tuple:
+        """The values, row-major in `product(rows, cols)` order."""
+        return self._flat
+
+    def __iter__(self):
+        return product(self._rows, self._cols)
+
+    def __len__(self) -> int:
+        return len(self._flat)
+
+    def __eq__(self, other) -> bool:
+        # Mapping's own __eq__ would copy both sides into dicts
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        missing = object()
+        return len(self) == len(other) and all(
+            other.get(key, missing) == value for key, value in zip(self, self._flat)
+        )
+
+
 @dataclass(frozen=True)
 class ClassifyResult:
-    """classify_all output: per-pair classes and layers, plus summary counts."""
+    """classify_all output: per-pair classes and layers, plus summary counts.
+
+    `classes`, `global_layers` and `local_layers` are `PairTable` views keyed
+    by (row, col) pairs, iterating in `product(rows, cols)` order; their
+    values sit in flat row-major tuples (`view.flat`).
+    """
 
     rows: tuple[TimestampedNode, ...]
     cols: tuple[TimestampedNode, ...]
-    classes: dict[tuple[TimestampedNode, TimestampedNode], str]
-    global_layers: dict[tuple[TimestampedNode, TimestampedNode], int | None]
-    local_layers: dict[tuple[TimestampedNode, TimestampedNode], int | None]
+    classes: PairTable  # (row, col) -> one of PAIR_CLASSES
+    global_layers: PairTable  # (row, col) -> first separating layer or None
+    local_layers: PairTable
     counts: dict[str, int]
 
 
@@ -155,20 +209,22 @@ def classify_all(tg1: TemporalGraph, tg2: TemporalGraph) -> ClassifyResult:
     Each encoding's disjoint union is refined once to stabilisation. A
     pair's first separating layer is then the number of stored layers on
     which its two colours agree, or None when they agree on the last one.
+    The three per-pair tables are flat row-major tuples behind `PairTable`
+    views.
     """
     rows = tuple(tg1.timestamped_nodes())
     cols = tuple(tg2.timestamped_nodes())
     glob, loc = (
         _pair_layers(tg1, tg2, encoding, rows, cols) for encoding in ("glob", "loc")
     )
-    keys = list(product(rows, cols))
-    classes = [CLASS_OF[g is not None, l is not None] for g, l in zip(glob, loc)]
+    separated = zip(map(is_not, glob, repeat(None)), map(is_not, loc, repeat(None)))
+    classes = tuple(map(CLASS_OF.__getitem__, separated))
     tally = Counter(classes)
     return ClassifyResult(
         rows,
         cols,
-        dict(zip(keys, classes)),
-        dict(zip(keys, glob)),
-        dict(zip(keys, loc)),
+        PairTable(rows, cols, classes),
+        PairTable(rows, cols, tuple(glob)),
+        PairTable(rows, cols, tuple(loc)),
         {name: tally[name] for name in PAIR_CLASSES},
     )

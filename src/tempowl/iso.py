@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from tempowl import rwl
 from tempowl.errors import SizeLimitExceeded, ValidationError
-from tempowl.tgraph import TemporalGraph
+from tempowl.tgraph import TemporalGraph, check_snapshot_count, missing_colour
 
 DEFAULT_NODE_LIMIT = 64
 
@@ -129,12 +129,20 @@ def _adjacency(
     return {v: frozenset(nbrs) for v, nbrs in out.items()}
 
 
-def _check_size(tg1: TemporalGraph, tg2: TemporalGraph, max_nodes: int) -> None:
+def _check_inputs(tg1: TemporalGraph, tg2: TemporalGraph, max_nodes: int) -> None:
+    """Refuse graphs over the node bound, and raise `validate`'s typed error
+    for a graph that skipped it and lacks a snapshot or a colour."""
     biggest = max(len(tg1.node_ids), len(tg2.node_ids))
     if biggest > max_nodes:
         raise SizeLimitExceeded(
             f"{biggest} nodes exceeds the configured bound of {max_nodes}"
         )
+    for tg in (tg1, tg2):
+        check_snapshot_count(tg)
+        for snap in tg.snapshots:
+            for v in tg.node_ids:
+                if v not in snap.colours:
+                    raise missing_colour(tg, v)
 
 
 # --- Pointwise ------------------------------------------------------------------
@@ -147,7 +155,7 @@ def pointwise_iso(
     Requires identical time sequences; each snapshot pair may be matched by
     its own bijection.
     """
-    _check_size(tg1, tg2, max_nodes)
+    _check_inputs(tg1, tg2, max_nodes)
     if tg1.times != tg2.times or len(tg1.node_ids) != len(tg2.node_ids):
         return None
     maps = []
@@ -204,7 +212,7 @@ def timewise_iso(
     labelled-multigraph isomorphism: relation i carries snapshot i's edges
     and a node's colour is its whole colour history.
     """
-    _check_size(tg1, tg2, max_nodes)
+    _check_inputs(tg1, tg2, max_nodes)
     n = len(tg1.times)
     if n != len(tg2.times) or len(tg1.node_ids) != len(tg2.node_ids):
         return None

@@ -128,16 +128,17 @@ def check_theorem9(trial_seed: int) -> dict | None:
     tg1 = draw("g1")
     tg2 = tg1 if rng.chance(0.25) else draw("g2")
     result = classify_all(tg1, tg2)
-    for pair, cls in result.classes.items():
+    tables = (result.classes.flat, result.global_layers.flat, result.local_layers.flat)
+    for index, (cls, gl, ll) in enumerate(zip(*tables)):
         if cls == "global_only":
-            return {"seed": trial_seed, "detail": f"pair {pair} is global_only"}
-        gl = result.global_layers[pair]
-        ll = result.local_layers[pair]
-        if gl is not None and (ll is None or ll > gl):
-            return {
-                "seed": trial_seed,
-                "detail": f"pair {pair}: local layer {ll} exceeds global layer {gl}",
-            }
+            problem = " is global_only"
+        elif gl is not None and (ll is None or ll > gl):
+            problem = f": local layer {ll} exceeds global layer {gl}"
+        else:
+            continue
+        row, col = divmod(index, len(result.cols))
+        pair = (result.rows[row], result.cols[col])
+        return {"seed": trial_seed, "detail": f"pair {pair}{problem}"}
     return None
 
 

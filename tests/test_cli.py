@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
 import pytest
 from click.testing import CliRunner
 
-from tempowl import properties
+from tempowl import distinguish, properties
 from tempowl.cli import main
-from tempowl.gen import fixture
+from tempowl.gen import fixture, permuted_copy, random_tg
 from tempowl.tgraph import events_to_csv, to_json
 from test_tgraph import MALFORMED_DOCUMENTS
 
@@ -166,6 +167,67 @@ def test_classify_emits_csv_matrix(tmp_path):
     assert lines[0].startswith(",a'#0")
     assert len(lines) == 7  # header + 6 timestamped nodes
     assert "both" in result.output
+
+
+# sha256 of `classify`'s CSV, recorded when classify_all still returned dicts
+CLASSIFY_SHA256 = {
+    "fig5_pair": "ceab63bf274244464420af027d69395fe186e4bb60d984c97d2053e5357e6048",
+    "fig6_pair": "b622a9a750f89911b021c4a0bea0f53b402b60d39236b331fa59bf9a2e8c1b89",
+    "twin_20x6": "a6495392d3d2e91c23f6b0e599c3fdd03caa4235cb1ccba97ee2b25f5fdacc37",
+}
+
+
+def test_classify_output_is_pinned(tmp_path):
+    g = random_tg(0, nodes=20, snapshots=6, edge_prob=0.2)
+    pairs = {
+        "fig5_pair": fixture("fig5_pair"),
+        "fig6_pair": fixture("fig6_pair"),
+        "twin_20x6": (g, permuted_copy(g, 1)[0]),
+    }
+    for name, graphs in pairs.items():
+        paths = []
+        for side, tg in zip("ab", graphs):
+            paths.append(tmp_path / f"{name}_{side}.json")
+            paths[-1].write_text(to_json(tg), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["classify", "--a", str(paths[0]), "--b", str(paths[1])]
+        )
+        assert result.exit_code == 0, name
+        assert hashlib.sha256(result.output.encode()).hexdigest() == CLASSIFY_SHA256[name]
+
+
+def test_classify_against_a_graph_without_nodes(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(
+        json.dumps(
+            {"nodes": [], "times": [1], "snapshots": [{"colours": {}, "edges": []}]}
+        ),
+        encoding="utf-8",
+    )
+    fig2 = _write_fixture(tmp_path / "fig2.json", "fig2")
+    result = CliRunner().invoke(main, ["classify", "--a", fig2, "--b", str(empty)])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[0] == '""'
+    assert lines[1:] == [f"{v}#{i}" for i in range(4) for v in "abc"]
+    result = CliRunner().invoke(main, ["classify", "--a", str(empty), "--b", fig2])
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == 1
+
+
+def test_crash_is_an_internal_error_with_its_own_exit_code(tmp_path, monkeypatch):
+    def crash(tg1, tg2):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(distinguish, "classify_all", crash)
+    pa, pb = _write_pair(tmp_path, "fig5_pair")
+    result = CliRunner().invoke(main, ["classify", "--a", pa, "--b", pb])
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "error": "InternalError",
+        "detail": "RuntimeError: boom",
+    }
+    assert "Traceback" in result.stderr and "RuntimeError: boom" in result.stderr
 
 
 def test_iso_commands(tmp_path):

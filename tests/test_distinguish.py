@@ -23,6 +23,12 @@ from tempowl.kgraph import disjoint_union, k_glob, k_loc
 from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN
 
 
+def _retimed(tg, scale, offset):
+    """tg with every timestamp t mapped to scale * t + offset."""
+    times = tuple(scale * t + offset for t in tg.times)
+    return TemporalGraph(tg.node_ids, times, tg.snapshots)
+
+
 def test_colour_drift_pair_is_global_only():
     fig2, fig3 = fixture("fig2"), fixture("fig3")
     b4 = TN("b", 3)
@@ -288,3 +294,57 @@ def test_missing_snapshot_colour_is_a_typed_error():
     for call in calls:
         with pytest.raises(MissingColour, match="snapshot 1: no colour for node 'b'"):
             call()
+
+
+def test_pair_tables_are_read_only_mappings():
+    a, b = fixture("fig6_pair")
+    result = classify_all(a, b)
+    table = result.classes
+    row, col = result.rows[1], result.cols[-1]
+    assert (row, col) in table
+    assert table[row, col] == table.flat[2 * len(result.cols) - 1]
+    assert len(table) == len(result.rows) * len(result.cols) == len(table.values())
+    assert list(table.values()) == list(table.flat)
+    assert set(table.values()) <= set(CLASS_OF.values())
+    # keys whose row is a node of graph b, unknown nodes, keys that are no pair
+    for key in (
+        (col, row),
+        (TN("zz", 0), col),
+        (row, TN(col.node, 99)),
+        "ab",
+        7,
+        (row,),
+        (row, col, col),
+        ([], col),
+    ):
+        assert key not in table
+        with pytest.raises(KeyError):
+            table[key]
+    with pytest.raises(TypeError):
+        table[row, col] = "both"
+    with pytest.raises(AttributeError):
+        table.flat = ()
+    plain = dict(table.items())
+    assert table == plain and plain == table
+    plain[row, col] = "both" if table[row, col] != "both" else "neither"
+    assert table != plain and plain != table
+    del plain[row, col]
+    assert table != plain and plain != table
+    assert table != list(table)
+    assert classify_all(a, b) == result
+
+
+def test_swapping_the_graphs_transposes_every_table():
+    for a, b in _oracle_pairs(40):
+        fwd, rev = classify_all(a, b), classify_all(b, a)
+        assert (rev.rows, rev.cols) == (fwd.cols, fwd.rows)
+        assert rev.counts == fwd.counts
+        for name in ("classes", "global_layers", "local_layers"):
+            table, swapped = getattr(fwd, name), getattr(rev, name)
+            assert [swapped[col, row] for row, col in table] == list(table.values())
+
+
+def test_affine_retiming_changes_no_table():
+    # relation labels are time gaps, which t -> 3t - 7 maps injectively
+    for a, b in _oracle_pairs(40):
+        assert classify_all(_retimed(a, 3, -7), _retimed(b, 3, -7)) == classify_all(a, b)

@@ -7,7 +7,7 @@ import pytest
 from oracles import brute_force_snapshot_iso_exists, brute_force_timewise_maps
 from pairs import union_pairs
 from tempowl import iso, rwl
-from tempowl.errors import SizeLimitExceeded, ValidationError
+from tempowl.errors import MissingColour, SizeLimitExceeded, ValidationError
 from tempowl.gen import fixture, permuted_copy, random_tg
 from tempowl.iso import (
     pointwise_iso,
@@ -197,6 +197,22 @@ def test_edges_to_unknown_nodes_are_validation_errors():
     for check in (pointwise_iso, timewise_iso):
         for tg1, tg2 in ((stray, ok), (ok, stray), (stray, stray)):
             with pytest.raises(ValidationError, match="leaves the node set"):
+                check(tg1, tg2)
+
+
+def test_unvalidated_graphs_raise_typed_errors():
+    # built without validate: snapshot 1 gives no colour for b, and `short`
+    # has one snapshot for two time points
+    snap = Snapshot({"a": "g", "b": "g"}, {("a", "b")})
+    ok = TemporalGraph(("a", "b"), (1, 2), (snap, snap))
+    no_colour = TemporalGraph(("a", "b"), (1, 2), (snap, Snapshot({"a": "g"}, set())))
+    short = TemporalGraph(("a", "b"), (1, 2), (snap,))
+    for check in (pointwise_iso, timewise_iso):
+        for tg1, tg2 in ((no_colour, ok), (ok, no_colour)):
+            with pytest.raises(MissingColour, match="snapshot 1: no colour for node 'b'"):
+                check(tg1, tg2)
+        for tg1, tg2 in ((short, ok), (ok, short)):
+            with pytest.raises(ValidationError, match="1 snapshots for 2 time points"):
                 check(tg1, tg2)
 
 
