@@ -1,8 +1,8 @@
 """Command-line surface; every output is UTF-8 JSON (or CSV where stated).
 
 Timestamped nodes are addressed as ``name@time`` (exact timestamp) or
-``name#index`` (0-based snapshot index); the last separator wins, so node
-names containing neither character are unambiguous.
+``name#index`` (0-based snapshot index); the last separator wins, so a node
+name may itself contain either character.
 
 Exit codes: 0 success, 1 failed check or property violation, 2 usage error,
 3 internal error (a crash; the traceback goes to stderr).
@@ -45,14 +45,18 @@ def _emit(data, output: str | None) -> None:
 
 
 def _parse_node_ref(ref: str, tg: tgraph.TemporalGraph) -> TimestampedNode:
-    if "#" in ref:
-        name, _, raw = ref.rpartition("#")
+    cut = max(ref.rfind("#"), ref.rfind("@"))
+    if cut < 0:
+        raise click.UsageError(
+            f"node reference {ref!r} needs name@time or name#index"
+        )
+    name, separator, raw = ref[:cut], ref[cut], ref[cut + 1:]
+    if separator == "#":
         try:
             index = int(raw)
         except ValueError:
             raise click.UsageError(f"bad node index in {ref!r}") from None
-    elif "@" in ref:
-        name, _, raw = ref.rpartition("@")
+    else:
         try:
             stamp = int(raw)
         except ValueError:
@@ -60,10 +64,6 @@ def _parse_node_ref(ref: str, tg: tgraph.TemporalGraph) -> TimestampedNode:
         if stamp not in tg.times:
             raise click.UsageError(f"{stamp} is not a time point of the graph")
         index = tg.times.index(stamp)
-    else:
-        raise click.UsageError(
-            f"node reference {ref!r} needs name@time or name#index"
-        )
     if name not in tg.node_ids or not 0 <= index < len(tg.times):
         raise click.UsageError(f"{ref!r} is not a timestamped node of the graph")
     return TimestampedNode(name, index)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from tempowl import rwl
-from tempowl.errors import SizeLimitExceeded, ValidationError
-from tempowl.tgraph import TemporalGraph, check_snapshot_count, missing_colour
+from tempowl.errors import SizeLimitExceeded
+from tempowl.tgraph import TemporalGraph
 
 DEFAULT_NODE_LIMIT = 64
 
@@ -45,8 +45,6 @@ def _stable_colours(sides) -> dict[tuple[int, str], int]:
     """
     sweep = [(k, v) for k, (nodes, _, _) in enumerate(sides) for v in sorted(nodes)]
     pos = {node: p for p, node in enumerate(sweep)}
-    if len(pos) != len(sweep):
-        raise ValidationError("duplicate node ids")
     colour_ids: dict[str, int] = {}
     init = [colour_ids.setdefault(repr(sides[k][1](v)), len(colour_ids)) for k, v in sweep]
     indptr, srcs, rels = [0], [], []
@@ -122,27 +120,19 @@ def _adjacency(
 ) -> dict[str, frozenset[str]]:
     out: dict[str, set[str]] = {v: set() for v in nodes}
     for u, v in pairs:
-        if u not in out or v not in out:
-            raise ValidationError(f"edge ({u}, {v}) leaves the node set")
         out[u].add(v)
         out[v].add(u)
     return {v: frozenset(nbrs) for v, nbrs in out.items()}
 
 
 def _check_inputs(tg1: TemporalGraph, tg2: TemporalGraph, max_nodes: int) -> None:
-    """Refuse graphs over the node bound, and raise `validate`'s typed error
-    for a graph that skipped it and lacks a snapshot or a colour."""
+    """Refuse graphs over the node bound; the graphs themselves are valid
+    once built."""
     biggest = max(len(tg1.node_ids), len(tg2.node_ids))
     if biggest > max_nodes:
         raise SizeLimitExceeded(
             f"{biggest} nodes exceeds the configured bound of {max_nodes}"
         )
-    for tg in (tg1, tg2):
-        check_snapshot_count(tg)
-        for snap in tg.snapshots:
-            for v in tg.node_ids:
-                if v not in snap.colours:
-                    raise missing_colour(tg, v)
 
 
 # --- Pointwise ------------------------------------------------------------------

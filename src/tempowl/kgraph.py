@@ -19,6 +19,9 @@ every query that starts from temporal graphs goes through. The
 `KnowledgeGraph` path (`k_glob`/`k_loc`, `disjoint_union`) serves where a
 knowledge graph is the input or the output (`transform`, the CLI's `refine`)
 and is the reference the tests hold the arrays to.
+
+Temporal graphs are valid once built, so the encoders read them unchecked; a
+`KnowledgeGraph`, which documents also build, checks itself.
 """
 
 from __future__ import annotations
@@ -29,12 +32,7 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from tempowl.errors import UnknownNode, ValidationError
-from tempowl.tgraph import (
-    TemporalGraph,
-    TimestampedNode,
-    check_snapshot_count,
-    missing_colour,
-)
+from tempowl.tgraph import TemporalGraph, TimestampedNode
 
 Edge = tuple[int, TimestampedNode, TimestampedNode]
 
@@ -123,15 +121,9 @@ def _is_node(tn) -> bool:
 def _encode(tg: TemporalGraph, local: bool) -> KnowledgeGraph:
     """`k_glob` (local False) or `k_loc` (local True), with one node object
     per (node, time index)."""
-    check_snapshot_count(tg)
     times = tg.times
     n = len(times)
-    # endpoints outside the node ids get objects too, so that the knowledge
-    # graph reports the edge that leaves its node set
-    names = set(tg.node_ids)
-    for snap in tg.snapshots:
-        names.update(*snap.edges)
-    at = {v: [TimestampedNode(v, i) for i in range(n)] for v in names}
+    at = {v: [TimestampedNode(v, i) for i in range(n)] for v in tg.node_ids}
     edges: set[Edge] = set()
     for i, snap in enumerate(tg.snapshots):
         for u, v in snap.edges:
@@ -141,14 +133,11 @@ def _encode(tg: TemporalGraph, local: bool) -> KnowledgeGraph:
                 k = j if local else i
                 edges.add((r, vs[k], us[j]))
                 edges.add((r, us[k], vs[j]))
-    try:
-        colours = {
-            at[v][i]: snap.colours[v]
-            for i, snap in enumerate(tg.snapshots)
-            for v in tg.node_ids
-        }
-    except KeyError as exc:
-        raise missing_colour(tg, exc.args[0]) from None
+    colours = {
+        at[v][i]: snap.colours[v]
+        for i, snap in enumerate(tg.snapshots)
+        for v in tg.node_ids
+    }
     return KnowledgeGraph(
         tuple(at[v][i] for i in range(n) for v in tg.node_ids),
         frozenset(map(itemgetter(0), edges)),
@@ -232,18 +221,14 @@ def union_arrays(
     labels: set[int] = set()
     offset = 0
     for tg in graphs:
-        check_snapshot_count(tg)
         ids = sorted(tg.node_ids)
         rank = {v: r for r, v in enumerate(ids)}
         adjacency = []
         for i, snap in enumerate(tg.snapshots):
-            # sets, as in the encoders' edge sets: a self-loop adds one edge
-            nbrs: list[set[int]] = [set() for _ in ids]
+            nbrs: list[list[int]] = [[] for _ in ids]
             for u, v in snap.edges:
-                if u not in rank or v not in rank:
-                    raise ValidationError(f"snapshot {i}: edge ({u}, {v}) leaves the nodes")
-                nbrs[rank[u]].add(rank[v])
-                nbrs[rank[v]].add(rank[u])
+                nbrs[rank[u]].append(rank[v])
+                nbrs[rank[v]].append(rank[u])
             adjacency.append([sorted(s) for s in nbrs])
             if snap.edges:
                 labels.update(t - tg.times[i] for t in tg.times[i:])
@@ -263,10 +248,7 @@ def union_arrays(
         for u, name in enumerate(ids):
             for j in range(n_times):
                 nodes.append((k, TimestampedNode(name, j)))
-                try:
-                    token = tg.snapshots[j].colours[name]
-                except KeyError:
-                    raise missing_colour(tg, name) from None
+                token = tg.snapshots[j].colours[name]
                 init.append(colour_ids.setdefault(token, len(colour_ids)))
                 for i in range(j, -1, -1):
                     nb = adjacency[i][u]
@@ -326,6 +308,8 @@ def to_dict(kg: KnowledgeGraph) -> dict:
 def from_dict(data: dict) -> KnowledgeGraph:
     try:
         nodes = tuple(TimestampedNode(n, i) for n, i in data["nodes"])
+        if not isinstance(data["colours"], dict):
+            raise TypeError(f"colours {data['colours']!r} is not a JSON object")
         colours = {}
         for key, colour in data["colours"].items():
             name, _, idx = key.rpartition("#")

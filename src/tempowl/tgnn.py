@@ -37,12 +37,7 @@ from operator import mul
 
 from tempowl.errors import ConfigMismatch, LayerNotComputed, UnknownNode
 from tempowl.gen import Xorshift64Star, derive_seed
-from tempowl.tgraph import (
-    TemporalGraph,
-    TimestampedNode,
-    check_snapshot_count,
-    missing_colour,
-)
+from tempowl.tgraph import TemporalGraph, TimestampedNode
 
 MODES = ("global", "local")
 VARIANTS = ("sum_sign", "concat_sum_relu", "hash_injective")
@@ -157,12 +152,7 @@ def _neighbourhoods(tg: TemporalGraph) -> list[list[tuple[int, int]]]:
     out = []
     for i, snap in enumerate(tg.snapshots):
         for a, b in snap.edges:
-            try:
-                ra, rb = rank[a], rank[b]
-            except KeyError as exc:
-                raise UnknownNode(
-                    f"snapshot {i}: edge endpoint {exc.args[0]!r} is unknown"
-                ) from None
+            ra, rb = rank[a], rank[b]
             seen[ra].add((rb, i))
             seen[rb].add((ra, i))
         out.extend(list(s) for s in seen)
@@ -188,12 +178,8 @@ def _messages(tg: TemporalGraph, local: bool) -> list[list[tuple[int, int]]]:
 
 def forward(tg: TemporalGraph, cfg: ModelConfig) -> EmbeddingState:
     """Embeddings for every timestamped node at layers 0..cfg.layers."""
-    check_snapshot_count(tg)
     tnodes = tg.timestamped_nodes()
-    try:
-        tokens = [snap.colours[v] for snap in tg.snapshots for v in tg.node_ids]
-    except KeyError as exc:
-        raise missing_colour(tg, exc.args[0]) from None
+    tokens = [snap.colours[v] for snap in tg.snapshots for v in tg.node_ids]
     msgs = _messages(tg, cfg.mode == "local")
     if cfg.variant == "hash_injective":
         layers = _forward_hash(cfg, tokens, msgs)

@@ -2,9 +2,10 @@
 
 A temporal graph is a sequence of node-coloured undirected snapshots over a
 fixed node set, taken at strictly increasing integer time points (micro-unit
-resolution; all arithmetic on them stays exact). Values are immutable after
-construction and safe to share between workers; every operation in this
-module is a pure function.
+resolution; all arithmetic on them stays exact). A graph is valid and
+immutable after construction: `TemporalGraph` runs `validate` as it is
+built, so no engine module re-checks what a graph holds. Values are safe to
+share between workers; every operation in this module is a pure function.
 
 Colour tokens are opaque strings compared for equality only. Feature vectors
 can be used as colours by serialising them to a canonical string first.
@@ -15,8 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from tempowl.errors import (
     EmptyEdgeSet,
@@ -56,6 +58,8 @@ class Snapshot:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.colours, Mapping):  # dict() would read ["ab"] as {"a": "b"}
+            raise ValidationError(f"colours {self.colours!r} are not a mapping")
         object.__setattr__(self, "colours", dict(self.colours))
         object.__setattr__(
             self, "edges", frozenset(_normalise_edge(u, v) for u, v in self.edges)
@@ -67,7 +71,7 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class TemporalGraph:
-    """A finite sequence of snapshots over a shared node set."""
+    """A finite sequence of snapshots over a shared node set, validated as built."""
 
     node_ids: tuple[str, ...]
     times: tuple[int, ...]
@@ -77,6 +81,7 @@ class TemporalGraph:
         object.__setattr__(self, "node_ids", tuple(self.node_ids))
         object.__setattr__(self, "times", tuple(self.times))
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        validate(self)
 
     def timestamped_nodes(self) -> list[TimestampedNode]:
         """All (node, time index) pairs, time-major."""
@@ -129,7 +134,10 @@ def validate(tg: TemporalGraph) -> None:
             raise NonIncreasingTimes(
                 f"times[{i}] = {tg.times[i]} does not exceed times[{i - 1}] = {tg.times[i - 1]}"
             )
-    check_snapshot_count(tg)
+    if len(tg.snapshots) != len(tg.times):
+        raise ValidationError(
+            f"{len(tg.snapshots)} snapshots for {len(tg.times)} time points"
+        )
     for v in tg.node_ids:
         if not isinstance(v, str):
             raise ValidationError(f"node id {v!r} is not a string")
@@ -155,20 +163,6 @@ def validate(tg: TemporalGraph) -> None:
                 raise UnknownNode(f"snapshot {i}: edge endpoint {u!r} is unknown")
             if v not in known:
                 raise UnknownNode(f"snapshot {i}: edge endpoint {v!r} is unknown")
-
-
-def check_snapshot_count(tg: TemporalGraph) -> None:
-    """Raise `validate`'s error unless there is one snapshot per time point."""
-    if len(tg.snapshots) != len(tg.times):
-        raise ValidationError(
-            f"{len(tg.snapshots)} snapshots for {len(tg.times)} time points"
-        )
-
-
-def missing_colour(tg: TemporalGraph, v: str) -> MissingColour:
-    """The error `validate` raises for the first snapshot without a colour for v."""
-    i = next(i for i, snap in enumerate(tg.snapshots) if v not in snap.colours)
-    return MissingColour(f"snapshot {i}: no colour for node {v!r}")
 
 
 def is_colour_persistent(tg: TemporalGraph) -> bool:
@@ -288,15 +282,14 @@ def from_dict(data: dict) -> TemporalGraph:
     try:
         if not isinstance(data["nodes"], list):
             raise ValidationError(f"nodes {data['nodes']!r} is not a list of node ids")
-        snapshots = tuple(
-            Snapshot(snap["colours"], {_pair(e, i) for e in snap["edges"]})
-            for i, snap in enumerate(data["snapshots"])
-        )
-        tg = TemporalGraph(tuple(data["nodes"]), tuple(data["times"]), snapshots)
+        snapshots = []
+        for i, snap in enumerate(data["snapshots"]):
+            if not isinstance(snap["colours"], dict):
+                raise TypeError(f"snapshot {i}: colours {snap['colours']!r} is not a JSON object")
+            snapshots.append(Snapshot(snap["colours"], {_pair(e, i) for e in snap["edges"]}))
+        return TemporalGraph(tuple(data["nodes"]), tuple(data["times"]), snapshots)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed temporal-graph document: {exc}") from exc
-    validate(tg)
-    return tg
 
 
 def to_json(tg: TemporalGraph) -> str:

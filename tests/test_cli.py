@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from tempowl import distinguish, properties
 from tempowl.cli import main
 from tempowl.gen import fixture, permuted_copy, random_tg
-from tempowl.tgraph import events_to_csv, to_json
+from tempowl.tgraph import Snapshot, TemporalGraph, events_to_csv, to_json
 from test_tgraph import MALFORMED_DOCUMENTS
 
 
@@ -157,6 +157,32 @@ def test_compare_rejects_bad_node_refs(tmp_path):
             ["compare", "--a", pa, "--node-a", ref, "--b", pb, "--node-b", "a'@2"],
         )
         assert result.exit_code == 2, ref
+
+
+def test_node_refs_split_at_the_last_separator(tmp_path):
+    # node names hold both separators; time 1 is snapshot index 0
+    tg = TemporalGraph(
+        ("a#b", "x@y"),
+        (1, 2),
+        (
+            Snapshot({"a#b": "g", "x@y": "g"}, set()),
+            Snapshot({"a#b": "r", "x@y": "g"}, set()),
+        ),
+    )
+    path = tmp_path / "g.json"
+    path.write_text(to_json(tg), encoding="utf-8")
+    for ref_a, ref_b, expected in (
+        ("a#b@1", "a#b#0", "neither"),
+        ("x@y#0", "x@y@1", "neither"),
+        ("a#b#1", "x@y@2", "both"),
+    ):
+        result = CliRunner().invoke(
+            main,
+            ["compare", "--a", str(path), "--node-a", ref_a,
+             "--b", str(path), "--node-b", ref_b],
+        )
+        assert result.exit_code == 0, (ref_a, ref_b, result.output)
+        assert json.loads(result.output)["class"] == expected, (ref_a, ref_b)
 
 
 def test_classify_emits_csv_matrix(tmp_path):

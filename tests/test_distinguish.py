@@ -275,25 +275,17 @@ def test_unknown_nodes_are_rejected():
 
 
 def test_missing_snapshot_colour_is_a_typed_error():
-    # built without validate: snapshot 1 gives no colour for b
-    tg = TemporalGraph(
-        ("a", "b"),
-        (1, 2),
-        (
-            Snapshot({"a": "g", "b": "g"}, frozenset({("a", "b")})),
-            Snapshot({"a": "g"}, frozenset()),
-        ),
-    )
-    calls = (
-        lambda: classify_all(tg, fixture("fig2")),
-        lambda: classify_all(fixture("fig2"), tg),
-        lambda: classify_pair(tg, TN("a", 0), tg, TN("b", 0)),
-        lambda: k_glob(tg),
-        lambda: k_loc(tg),
-    )
-    for call in calls:
-        with pytest.raises(MissingColour, match="snapshot 1: no colour for node 'b'"):
-            call()
+    # snapshot 1 gives no colour for b: the graph is refused at construction,
+    # so no classifier or encoder ever receives it
+    with pytest.raises(MissingColour, match="snapshot 1: no colour for node 'b'"):
+        TemporalGraph(
+            ("a", "b"),
+            (1, 2),
+            (
+                Snapshot({"a": "g", "b": "g"}, frozenset({("a", "b")})),
+                Snapshot({"a": "g"}, frozenset()),
+            ),
+        )
 
 
 def test_pair_tables_are_read_only_mappings():

@@ -271,6 +271,8 @@ def test_kg_json_rejects_bool_time_indexes_and_non_string_colours():
         {"nodes": [["a", True]], "colours": {"a#1": "g"}, "edges": []},
         {"nodes": [["a", -1]], "colours": {"a#-1": "g"}, "edges": []},
         {"nodes": [["a", 0]], "colours": {"a#0": 1}, "edges": []},
+        {"nodes": [["a", 0]], "colours": ["a#0"], "edges": []},
+        {"nodes": [["a", 0]], "colours": [["a#0", "g"]], "edges": []},
         {"nodes": [["a", 0], ["b", 0]], "colours": {"a#0": "g", "b#0": "g"},
          "edges": [[False, ["a", 0], ["b", 0]]]},
     ):

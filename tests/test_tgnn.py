@@ -6,16 +6,9 @@ import pytest
 
 from test_architecture import imported_modules
 from tempowl import rwl, tgnn
-from tempowl.distinguish import classify_all
-from tempowl.errors import (
-    ConfigMismatch,
-    LayerNotComputed,
-    MissingColour,
-    UnknownNode,
-    ValidationError,
-)
+from tempowl.errors import ConfigMismatch, LayerNotComputed, UnknownNode
 from tempowl.gen import fixture, random_tg
-from tempowl.kgraph import k_glob, k_loc, temporal_neighbourhood, union_arrays
+from tempowl.kgraph import k_glob, k_loc, temporal_neighbourhood
 from tempowl.tgnn import (
     EmbeddingState,
     ModelConfig,
@@ -23,7 +16,7 @@ from tempowl.tgnn import (
     embedding_equal,
     forward,
 )
-from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN, validate
+from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN
 
 
 def _hash_matches_refinement(tg, mode, encode):
@@ -173,15 +166,6 @@ def test_simulator_shares_no_code_with_the_encoders():
     assert not imported & banned, imported & banned
 
 
-def _with_self_loops(tg, seed):
-    ids = tg.node_ids
-    snaps = tuple(
-        Snapshot(snap.colours, {*snap.edges, (ids[(seed + i) % len(ids)],) * 2})
-        for i, snap in enumerate(tg.snapshots)
-    )
-    return TemporalGraph(tg.node_ids, tg.times, snaps)
-
-
 def test_neighbourhoods_match_the_encoder_module():
     graphs = [fixture(name) for name in ("fig2", "fig3")]
     graphs += [*fixture("fig5_pair"), *fixture("fig6_pair")]
@@ -193,7 +177,7 @@ def test_neighbourhoods_match_the_encoder_module():
             edge_prob=(0.0, 0.3, 0.7)[seed % 3],
             uniform_grid=seed % 2 == 0,
         )
-        graphs += [tg, _with_self_loops(tg, seed)]
+        graphs.append(tg)
     for tg in graphs:
         nbhds = tgnn._neighbourhoods(tg)
         tnodes = tg.timestamped_nodes()
@@ -202,39 +186,3 @@ def test_neighbourhoods_match_the_encoder_module():
             got = [TN(tg.node_ids[u], i) for u, i in nbhd]
             assert len(got) == len(set(got))
             assert set(got) == temporal_neighbourhood(tg, tn.node, tn.time_index)
-
-
-def test_unvalidated_graphs_raise_typed_errors():
-    cfg = ModelConfig("global", layers=1, width=2)
-    no_colour = TemporalGraph(
-        ("a", "b"),
-        (1, 2),
-        (Snapshot({"a": "g", "b": "g"}, set()), Snapshot({"a": "g"}, set())),
-    )
-    with pytest.raises(MissingColour, match="snapshot 1: no colour for node 'b'"):
-        forward(no_colour, cfg)
-    stranger = TemporalGraph(("a",), (1,), (Snapshot({"a": "g"}, {("a", "z")}),))
-    with pytest.raises(UnknownNode, match="snapshot 0: edge endpoint 'z' is unknown"):
-        forward(stranger, cfg)
-    short = TemporalGraph(("a",), (1, 2), (Snapshot({"a": "g"}, set()),))
-    pair = Snapshot({"a": "g", "b": "g"}, {("a", "b")})
-    long = TemporalGraph(("a", "b"), (1,), (pair, pair))
-    other = fixture("fig2")
-    calls = (
-        lambda tg: forward(tg, cfg),
-        lambda tg: union_arrays((tg, other), "glob"),
-        lambda tg: union_arrays((other, tg), "loc"),
-        lambda tg: classify_all(tg, other),
-        lambda tg: classify_all(other, tg),
-        k_glob,
-        k_loc,
-    )
-    for tg, message in (
-        (short, "1 snapshots for 2 time points"),
-        (long, "2 snapshots for 1 time points"),
-    ):
-        with pytest.raises(ValidationError, match=message):
-            validate(tg)
-        for call in calls:
-            with pytest.raises(ValidationError, match=message):
-                call(tg)

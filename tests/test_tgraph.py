@@ -7,7 +7,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import MUTATIONS, parts, temporal_graphs
+from tempowl import kgraph
 from tempowl.errors import (
     EmptyEdgeSet,
     MissingColour,
@@ -30,6 +34,7 @@ from tempowl.tgraph import (
     is_colour_persistent,
     shifted_copy,
     to_aggregated,
+    to_dict,
     to_json,
     validate,
 )
@@ -47,9 +52,8 @@ def test_validate_fig2_ok():
 
 
 def test_validate_duplicate_times():
-    tg = _graph((3, 3), [Snapshot(GREEN, set()), Snapshot(GREEN, set())])
     with pytest.raises(NonIncreasingTimes):
-        validate(tg)
+        _graph((3, 3), [Snapshot(GREEN, set()), Snapshot(GREEN, set())])
 
 
 def test_validate_empty_times():
@@ -58,27 +62,23 @@ def test_validate_empty_times():
 
 
 def test_validate_self_loop():
-    tg = _graph((1,), [Snapshot(GREEN, {("a", "a")})])
     with pytest.raises(SelfLoop):
-        validate(tg)
+        _graph((1,), [Snapshot(GREEN, {("a", "a")})])
 
 
 def test_validate_unknown_edge_endpoint():
-    tg = _graph((1,), [Snapshot(GREEN, {("a", "z")})])
     with pytest.raises(UnknownNode):
-        validate(tg)
+        _graph((1,), [Snapshot(GREEN, {("a", "z")})])
 
 
 def test_validate_unknown_coloured_node():
-    tg = _graph((1,), [Snapshot({**GREEN, "z": "red"}, set())])
     with pytest.raises(UnknownNode):
-        validate(tg)
+        _graph((1,), [Snapshot({**GREEN, "z": "red"}, set())])
 
 
 def test_validate_missing_colour():
-    tg = _graph((1,), [Snapshot({"a": "green", "b": "green"}, set())])
     with pytest.raises(MissingColour):
-        validate(tg)
+        _graph((1,), [Snapshot({"a": "green", "b": "green"}, set())])
 
 
 def test_validate_snapshot_count_mismatch():
@@ -89,6 +89,47 @@ def test_validate_snapshot_count_mismatch():
 def test_validate_non_integer_time():
     with pytest.raises(ValidationError):
         validate(_graph((1.5, 2), [Snapshot(GREEN, set())] * 2))
+
+
+_PAIR = Snapshot({"a": "g", "b": "g"}, {("a", "b")})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: TemporalGraph(("a", "b"), (1, 2), (_PAIR, Snapshot({"a": "g"}, set()))),
+            MissingColour,
+            "snapshot 1: no colour for node 'b'",
+        ),
+        (
+            lambda: TemporalGraph(("a",), (1, 2), (Snapshot({"a": "g"}, set()),)),
+            ValidationError,
+            "1 snapshots for 2 time points",
+        ),
+        (
+            lambda: TemporalGraph(("a", "b"), (1,), (_PAIR, _PAIR)),
+            ValidationError,
+            "2 snapshots for 1 time points",
+        ),
+        (
+            lambda: TemporalGraph(("a",), (1,), (Snapshot({"a": "g"}, {("a", "z")}),)),
+            UnknownNode,
+            "snapshot 0: edge endpoint 'z' is unknown",
+        ),
+    ],
+    ids=["missing_colour", "too_few_snapshots", "too_many_snapshots", "unknown_endpoint"],
+)
+def test_construction_raises_validate_errors(build, error, message):
+    # no invalid graph reaches the engine: construction itself rejects it
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_colours_must_be_a_mapping():
+    # dict() would read the list ["ab", "cd"] as {"a": "b", "c": "d"}
+    with pytest.raises(ValidationError, match="are not a mapping"):
+        Snapshot(["ab", "cd"], set())
 
 
 def test_edges_normalise_orientation_and_duplicates():
@@ -155,6 +196,12 @@ def test_from_aggregated_rejects_uncovered_labels():
     agg = AggregatedGraph(("u", "v"), {"u": "g", "v": "g"}, {("u", "v", 5)})
     with pytest.raises(ValidationError):
         from_aggregated(agg, times=(1, 2))
+
+
+def test_from_aggregated_rejects_unordered_times():
+    agg = AggregatedGraph(("u", "v"), {"u": "g", "v": "g"}, {("u", "v", 1)})
+    with pytest.raises(NonIncreasingTimes, match=r"times\[1\] = 1 does not exceed"):
+        from_aggregated(agg, times=[2, 1, 1])
 
 
 def test_round_trip_on_random_persistent_graphs():
@@ -249,6 +296,8 @@ MALFORMED_DOCUMENTS = (
     (json.dumps(_document(nodes=["a", 1], edges=[])), "node id 1 is not a string"),
     (json.dumps(_document(nodes=["a", ""], edges=[])), "empty node id"),
     (json.dumps(_document(colours={"a": "g", "b": 1})), "node 'b' has a non-string colour"),
+    (json.dumps(_document(colours=["ab", "cd"])), "snapshot 0: colours .* is not a JSON object"),
+    (json.dumps(_document(colours=[["a", "g"], ["b", "g"]])), "is not a JSON object"),
 )
 
 
@@ -256,6 +305,31 @@ def test_json_rejects_malformed_documents():
     for text, message in MALFORMED_DOCUMENTS:
         with pytest.raises(ValidationError, match=message):
             from_json(text)
+
+
+_BOUNDARY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+
+
+@_BOUNDARY
+@given(temporal_graphs())
+def test_generated_graphs_round_trip(tg):
+    assert from_json(to_json(tg)) == tg
+    for encode in (kgraph.k_glob, kgraph.k_loc):
+        kg = encode(tg)
+        assert kgraph.from_dict(json.loads(json.dumps(kgraph.to_dict(kg)))) == kg
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+@_BOUNDARY
+@given(tg=temporal_graphs(min_snapshots=2), data=st.data())
+def test_each_single_defect_is_a_typed_error(name, tg, data):
+    plant, error = MUTATIONS[name]
+    doc = to_dict(tg)
+    plant(doc, data.draw)
+    with pytest.raises(error):
+        from_json(json.dumps(doc))
+    with pytest.raises(error):
+        TemporalGraph(*parts(doc))
 
 
 def test_events_csv_round_trip():
@@ -281,10 +355,8 @@ def test_empty_node_ids_are_rejected():
 
 
 def test_validate_reports_colour_keys_of_mixed_types():
-    tg = TemporalGraph(("a",), (0,), (Snapshot({"a": "g", 1: "g"}, set()),))
     with pytest.raises(UnknownNode, match="unknown node 1"):
-        validate(tg)
+        TemporalGraph(("a",), (0,), (Snapshot({"a": "g", 1: "g"}, set()),))
     # string keys are still reported in sorted order, before other types
-    tg = TemporalGraph(("a",), (0,), (Snapshot({"a": "g", 2: "g", "z": "g", "y": "g"}, set()),))
     with pytest.raises(UnknownNode, match="unknown node 'y'"):
-        validate(tg)
+        TemporalGraph(("a",), (0,), (Snapshot({"a": "g", 2: "g", "z": "g", "y": "g"}, set()),))
