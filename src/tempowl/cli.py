@@ -282,12 +282,24 @@ def fixture(name, part, output) -> None:
         _emit(tgraph.to_dict(value), output)
 
 
+def _parse_palette(ctx, param, value: str) -> tuple[str, ...]:
+    colours = tuple(value.split(","))
+    if "" in colours:
+        raise click.BadParameter(f"{value!r} has an empty colour")
+    return colours
+
+
 @main.command("gen")
 @click.option("--seed", type=int, required=True)
 @click.option("--nodes", type=click.IntRange(min=1), default=5)
 @click.option("--snapshots", type=click.IntRange(min=1), default=3)
 @click.option("--edge-prob", type=click.FloatRange(0, 1), default=0.4)
-@click.option("--palette", default="green,blue,red", help="Comma-separated colours.")
+@click.option(
+    "--palette",
+    default="green,blue,red",
+    callback=_parse_palette,
+    help="Comma-separated colours.",
+)
 @click.option("--colour-persistent", is_flag=True)
 @click.option("--non-uniform-grid", is_flag=True)
 @click.option("-o", "--output", type=click.Path())
@@ -300,7 +312,7 @@ def gen_command(
         nodes,
         snapshots,
         edge_prob,
-        tuple(palette.split(",")),
+        palette,
         colour_persistent,
         not non_uniform_grid,
     )

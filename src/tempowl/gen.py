@@ -48,6 +48,26 @@ class Xorshift64Star:
         """Uniform integer in [lo, hi], inclusive."""
         return lo + self.below(hi - lo + 1)
 
+    def randints(self, lo: int, hi: int, count: int) -> list[int]:
+        """`count` draws of `randint(lo, hi)`, bit for bit, in one call.
+
+        The steps of `next_u64` and `below` are inlined on a local state.
+        """
+        n = hi - lo + 1
+        if n <= 0:
+            raise ValueError("below() needs a positive bound")
+        limit = (1 << 64) - ((1 << 64) % n)
+        x, out = self._state, []
+        while len(out) < count:
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK64
+            x ^= x >> 27
+            u = (x * _XS_MULTIPLIER) & _MASK64
+            if u < limit:
+                out.append(lo + u % n)
+        self._state = x
+        return out
+
     def chance(self, p: float) -> bool:
         return self.next_u64() < int(p * 2.0**64)
 
@@ -150,6 +170,8 @@ def random_tg(
         raise ValueError("need at least one node and one snapshot")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must be within [0, 1]")
+    if not palette:
+        raise ValueError("palette must not be empty")
     rng = Xorshift64Star(seed)
     ids = tuple(f"v{i}" for i in range(nodes))
     if uniform_grid:

@@ -77,10 +77,13 @@ class KnowledgeGraph:
         if not set(map(type, self.colours.values())) <= {str}:
             tn, c = next(kv for kv in self.colours.items() if type(kv[1]) is not str)
             raise ValidationError(f"node {tn} has a non-string colour {c!r}")
+        # bool is an int subclass, and excluded; types are read per edge,
+        # since True == 1 and a set of labels can keep 1 and drop True
+        if not {*map(type, map(itemgetter(0), self.edges)), *map(type, self.relations)} <= {int}:
+            every = (*map(itemgetter(0), self.edges), *self.relations)
+            r = next(r for r in every if type(r) is not int)
+            raise ValidationError(f"relation label {r!r} is not an integer")
         labels = set(map(itemgetter(0), self.edges))
-        for r in labels | self.relations:
-            if type(r) is not int:  # bool is an int subclass, and excluded
-                raise ValidationError(f"relation label {r!r} is not an integer")
         ends = set(map(itemgetter(1), self.edges))
         ends.update(map(itemgetter(2), self.edges))
         if (

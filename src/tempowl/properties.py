@@ -24,7 +24,7 @@ from tempowl.errors import ValidationError
 from tempowl.gen import Xorshift64Star, derive_seed, fixture, permuted_copy, random_tg
 from tempowl.iso import pointwise_iso
 from tempowl.tgraph import TimestampedNode, shifted_copy
-from tempowl.tgnn import ModelConfig, embedding_equal, forward
+from tempowl.tgnn import ModelConfig, embedding_equal, forward, forward_many
 
 _PALETTE = ("green", "blue", "red")
 _FUZZ_WIDTH = 4
@@ -81,31 +81,36 @@ def check_theorem6(trial_seed: int) -> dict | None:
                     "detail": f"pair {pair} classified {result.classes[pair]}",
                 }
 
-    for k in range(5):
-        sim_seed = derive_seed(trial_seed, "sim", k)
-        for mode in ("global", "local"):
-            cfg = ModelConfig(
-                mode, layers=2, width=_FUZZ_WIDTH, variant=_variant(k), seed=sim_seed
-            )
-            s1 = forward(tg, cfg)
-            s2 = forward(copy, cfg)
-            for layer in range(cfg.layers + 1):
-                for i in range(len(tg.times)):
-                    for v in tg.node_ids:
-                        if not embedding_equal(
-                            s1,
-                            TimestampedNode(v, i),
-                            TimestampedNode(perm[v], i),
-                            layer,
-                            s2,
-                        ):
-                            return {
-                                "seed": trial_seed,
-                                "detail": (
-                                    f"{mode}/{cfg.variant} seed {sim_seed}: embeddings of "
-                                    f"({v},{i}) and ({perm[v]},{i}) differ at layer {layer}"
-                                ),
-                            }
+    configs = [
+        ModelConfig(
+            mode,
+            layers=2,
+            width=_FUZZ_WIDTH,
+            variant=_variant(k),
+            seed=derive_seed(trial_seed, "sim", k),
+        )
+        for k in range(5)
+        for mode in ("global", "local")
+    ]
+    # (v, i) and (perm[v], i) by their positions in the simulator's layers
+    index = {tn: p for p, tn in enumerate(copy.timestamped_nodes())}
+    pairs = [
+        (p, index[TimestampedNode(perm[v], i)], v, i)
+        for p, (v, i) in enumerate(tg.timestamped_nodes())
+    ]
+    for cfg, layers1, layers2 in zip(
+        configs, forward_many(tg, configs), forward_many(copy, configs)
+    ):
+        for layer, (h1, h2) in enumerate(zip(layers1, layers2)):
+            for p1, p2, v, i in pairs:
+                if h1[p1] != h2[p2]:
+                    return {
+                        "seed": trial_seed,
+                        "detail": (
+                            f"{cfg.mode}/{cfg.variant} seed {cfg.seed}: embeddings of "
+                            f"({v},{i}) and ({perm[v]},{i}) differ at layer {layer}"
+                        ),
+                    }
     return None
 
 
@@ -195,32 +200,46 @@ def check_soundness(trial_seed: int) -> dict | None:
 
     tg1 = draw("g1")
     tg2 = tg1 if rng.chance(0.25) else draw("g2")
-    for mode, encoding in (("global", "glob"), ("local", "loc")):
-        colouring = rwl.refine_graphs((tg1, tg2), encoding)
-        # classes per layer; the run is unbounded, so later layers repeat the last
+    modes = (("global", "glob"), ("local", "loc"))
+    configs = [
+        ModelConfig(
+            mode,
+            layers=_FUZZ_LAYERS,
+            width=_FUZZ_WIDTH,
+            variant=_variant(k),
+            seed=derive_seed(trial_seed, "sim", k),
+        )
+        for mode, _ in modes
+        for k in range(10)
+    ]
+    graphs = (tg1, tg2)
+    runs1 = forward_many(tg1, configs)
+    runs2 = runs1 if tg2 is tg1 else forward_many(tg2, configs)
+    index = [{tn: p for p, tn in enumerate(tg.timestamped_nodes())} for tg in graphs]
+    for mode, encoding in modes:
+        colouring = rwl.refine_graphs(graphs, encoding)
+        # classes per layer, each member with its position in its side's
+        # layers; the run is unbounded, so later layers repeat the last
         layer_classes = [
-            rwl.partition_at(colouring, layer) for layer in range(_FUZZ_LAYERS + 1)
+            [
+                [(side, tn, index[side][tn]) for side, tn in members]
+                for members in rwl.partition_at(colouring, layer)
+            ]
+            for layer in range(_FUZZ_LAYERS + 1)
         ]
-        for k in range(10):
-            sim_seed = derive_seed(trial_seed, "sim", k)
-            cfg = ModelConfig(
-                mode,
-                layers=_FUZZ_LAYERS,
-                width=_FUZZ_WIDTH,
-                variant=_variant(k),
-                seed=sim_seed,
-            )
-            states = (forward(tg1, cfg), forward(tg2, cfg))
+        for cfg, *layers in zip(configs, runs1, runs2):
+            if cfg.mode != mode:
+                continue
             for layer, groups in enumerate(layer_classes):
                 for members in groups:
-                    side0, tn0 = members[0]
-                    ref = states[side0].value(tn0, layer)
-                    for side, tn in members[1:]:
-                        if states[side].value(tn, layer) != ref:
+                    side0, tn0, p0 = members[0]
+                    ref = layers[side0][layer][p0]
+                    for side, tn, p in members[1:]:
+                        if layers[side][layer][p] != ref:
                             return {
                                 "seed": trial_seed,
                                 "detail": (
-                                    f"{mode}/{cfg.variant} seed {sim_seed}: colours agree "
+                                    f"{mode}/{cfg.variant} seed {cfg.seed}: colours agree "
                                     f"but embeddings differ at layer {layer} for "
                                     f"{(side0, tn0)} vs {(side, tn)}"
                                 ),

@@ -15,10 +15,13 @@ gap, never by per-graph indices. Being pure, the parameters are drawn once
 per (seed, width) through small bounded caches, so the two graphs of a
 comparison and both modes share one draw.
 
-Temporal neighbourhoods are built here, from the snapshot edge lists, in one
-sweep per graph. The simulator shares no code with the knowledge-graph
-encoders or the refinement engine, so it stays an independent cross-check
-of them.
+`forward_many(tg, configs)` runs a batch of models on one graph. It builds
+the graph's messages once per mode and returns each model's layers as flat
+lists in `timestamped_nodes()` order; `forward` is a batch of one, keyed by
+node. Temporal neighbourhoods are built here, from the snapshot edge lists,
+in one sweep per graph. The simulator shares no code with the
+knowledge-graph encoders or the refinement engine, so it stays an
+independent cross-check of them.
 
 Variants:
 * sum_sign        — sign(W (h + sum of alpha-weighted messages) - b)
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from tempowl.errors import ConfigMismatch, LayerNotComputed, UnknownNode
 from tempowl.gen import Xorshift64Star, derive_seed
@@ -95,7 +99,8 @@ class EmbeddingState:
 # Parameters are pure functions of their arguments and are drawn through
 # bounded caches: one draw serves every graph and both modes of a model. The
 # bound covers the models of one fuzz trial (ten seeds, a few layers, gaps
-# and colour tokens each) and keeps a long run from growing.
+# and colour tokens each), so when a trial runs the same batch on its second
+# graph every draw is cached; and it keeps a long run from growing.
 
 _CACHE_SIZE = 256
 
@@ -105,13 +110,12 @@ def _stream(seed: int, *tags) -> Xorshift64Star:
 
 
 def _entries(rng: Xorshift64Star, count: int) -> tuple[int, ...]:
-    lo, hi = WEIGHT_RANGE
-    return tuple(rng.randint(lo, hi) for _ in range(count))
+    return tuple(rng.randints(*WEIGHT_RANGE, count))
 
 
 def _matrix(seed: int, tag: str, layer: int, rows: int, cols: int):
-    rng = _stream(seed, "W", tag, layer)
-    return tuple(_entries(rng, cols) for _ in range(rows))
+    flat = _entries(_stream(seed, "W", tag, layer), rows * cols)
+    return tuple(flat[r : r + cols] for r in range(0, rows * cols, cols))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -159,34 +163,61 @@ def _neighbourhoods(tg: TemporalGraph) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _messages(tg: TemporalGraph, local: bool) -> list[list[tuple[int, int]]]:
+class _Messages(NamedTuple):
+    """One mode's messages, and what every model reads from them."""
+
+    pairs: list[list[tuple[int, int]]]  # per node, (source position, time gap)
+    sources: list[list[int]]
+    gap_sums: list[int]
+    gaps: list[int]  # the distinct gaps, sorted
+
+
+def _messages(
+    tg: TemporalGraph, nbhds: list[list[tuple[int, int]]], local: bool
+) -> _Messages:
     """Per timestamped node, one (source position, time gap) pair per message.
 
     Positions index `timestamped_nodes()`: neighbour (u, i) of (v, j) sends
     from (u, i) in global mode and from (u, j) in local mode.
     """
     n, times = len(tg.node_ids), tg.times
-    nbhds = _neighbourhoods(tg)
-    return [
+    pairs = [
         [((j if local else i) * n + u, times[j] - times[i]) for u, i in nbhds[p]]
         for j in range(len(times))
         for p in range(j * n, (j + 1) * n)
     ]
+    return _Messages(
+        pairs,
+        [[src for src, _ in m] for m in pairs],
+        [sum(gap for _, gap in m) for m in pairs],
+        sorted({gap for m in pairs for _, gap in m}),
+    )
 
 
 # --- Forward pass ------------------------------------------------------------------
 
+def forward_many(tg: TemporalGraph, configs) -> tuple[tuple[list, ...], ...]:
+    """Layers 0..cfg.layers of each config, as flat lists in `timestamped_nodes()` order.
+
+    Entry k of the result holds `configs[k]`'s layers. The graph's messages
+    are built once per mode and shared by every config of that mode.
+    """
+    tokens = [snap.colours[v] for snap in tg.snapshots for v in tg.node_ids]
+    nbhds = _neighbourhoods(tg)
+    per_mode: dict[str, _Messages] = {}
+    out = []
+    for cfg in configs:
+        if cfg.mode not in per_mode:
+            per_mode[cfg.mode] = _messages(tg, nbhds, cfg.mode == "local")
+        run = _FORWARD[cfg.variant]
+        out.append(tuple(run(cfg, tokens, per_mode[cfg.mode])))
+    return tuple(out)
+
+
 def forward(tg: TemporalGraph, cfg: ModelConfig) -> EmbeddingState:
     """Embeddings for every timestamped node at layers 0..cfg.layers."""
     tnodes = tg.timestamped_nodes()
-    tokens = [snap.colours[v] for snap in tg.snapshots for v in tg.node_ids]
-    msgs = _messages(tg, cfg.mode == "local")
-    if cfg.variant == "hash_injective":
-        layers = _forward_hash(cfg, tokens, msgs)
-    elif cfg.variant == "sum_sign":
-        layers = _forward_sum_sign(cfg, tokens, msgs)
-    else:
-        layers = _forward_concat_sum_relu(cfg, tokens, msgs)
+    (layers,) = forward_many(tg, (cfg,))
     return EmbeddingState(
         cfg, tuple(tnodes), tuple(dict(zip(tnodes, layer)) for layer in layers)
     )
@@ -197,16 +228,15 @@ def forward(tg: TemporalGraph, cfg: ModelConfig) -> EmbeddingState:
 
 def _forward_sum_sign(cfg, tokens, msgs):
     seed, d = cfg.seed, cfg.width
-    alpha = {gap: _alpha(seed, gap) for gap in {g for m in msgs for _, g in m}}
-    sources = [[src for src, _ in m] for m in msgs]
+    alpha = {gap: _alpha(seed, gap) for gap in msgs.gaps}
     # coefficient 1 for the node's own state, then one alpha per message
-    coefs = [(1, *[alpha[gap] for _, gap in m]) for m in msgs]
+    coefs = [(1, *[alpha[gap] for _, gap in m]) for m in msgs.pairs]
     h = [_colour_vector(seed, token, d) for token in tokens]
     layers = [h]
     for layer in range(1, cfg.layers + 1):
         w, b = _weights(seed, cfg.variant, layer, d)
         prev, h = h, []
-        for x, srcs, coef in zip(prev, sources, coefs):
+        for x, srcs, coef in zip(prev, msgs.sources, coefs):
             acc = [sum(map(mul, col, coef)) for col in zip(x, *[prev[s] for s in srcs])]
             y = [sum(map(mul, row, acc)) for row in w]
             h.append(tuple([(v > c) - (v < c) for v, c in zip(y, b)]))
@@ -216,15 +246,13 @@ def _forward_sum_sign(cfg, tokens, msgs):
 
 def _forward_concat_sum_relu(cfg, tokens, msgs):
     seed, d = cfg.seed, cfg.width
-    sources = [[src for src, _ in m] for m in msgs]
-    gap_sums = [sum(gap for _, gap in m) for m in msgs]
     zero = (0,) * d
     h = [_colour_vector(seed, token, d) for token in tokens]
     layers = [h]
     for layer in range(1, cfg.layers + 1):
         w1, w2 = _weights(seed, cfg.variant, layer, d)
         prev, h = h, []
-        for x, srcs, gap_sum in zip(prev, sources, gap_sums):
+        for x, srcs, gap_sum in zip(prev, msgs.sources, msgs.gap_sums):
             acc = [*map(sum, zip(zero, *[prev[s] for s in srcs])), gap_sum]
             y = [sum(map(mul, row, acc)) for row in w1]
             both = (*x, *[v if v > 0 else 0 for v in y])
@@ -245,10 +273,17 @@ def _forward_hash(cfg, tokens, msgs):
                 ("combine", x, tuple(sorted([(prev[s], gap) for s, gap in m]))),
                 len(intern),
             )
-            for x, m in zip(prev, msgs)
+            for x, m in zip(prev, msgs.pairs)
         ]
         layers.append(h)
     return layers
+
+
+_FORWARD = {
+    "sum_sign": _forward_sum_sign,
+    "concat_sum_relu": _forward_concat_sum_relu,
+    "hash_injective": _forward_hash,
+}
 
 
 # --- Queries -------------------------------------------------------------------

@@ -514,6 +514,14 @@ def test_out_of_range_options_are_usage_errors(tmp_path):
         assert "Traceback" not in result.output
 
 
+def test_gen_rejects_an_empty_colour():
+    for palette in ("", "a,,b", "a,", ",a"):
+        result = CliRunner().invoke(main, ["gen", "--seed", "1", "--palette", palette])
+        assert result.exit_code == 2, palette
+        assert "empty colour" in result.output
+        assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize(
     "command, expected",
     [

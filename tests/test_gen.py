@@ -74,6 +74,26 @@ def test_prng_bounds_and_extremes():
         rng.below(0)
 
 
+def test_randints_equals_repeated_randint():
+    # (-3, 3) is the simulator's weight range; a span of 2**63 + 1 values
+    # rejects about half of the raw draws
+    for lo, hi in ((-3, 3), (0, 0), (0, 2**63)):
+        for seed in range(51):
+            batched, single = Xorshift64Star(seed), Xorshift64Star(seed)
+            for count in (0, 1, 9):
+                assert batched.randints(lo, hi, count) == [
+                    single.randint(lo, hi) for _ in range(count)
+                ]
+                assert batched.next_u64() == single.next_u64()
+    with pytest.raises(ValueError):
+        Xorshift64Star(0).randints(1, 0, 3)
+
+
+def test_random_tg_rejects_an_empty_palette():
+    with pytest.raises(ValueError, match="palette must not be empty"):
+        random_tg(1, 3, 2, 0.5, palette=())
+
+
 def test_derive_seed_is_stable_and_tag_sensitive():
     assert derive_seed(1, "x") == derive_seed(1, "x")
     assert derive_seed(1, "x") != derive_seed(1, "y")

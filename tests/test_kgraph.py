@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairs import union_pairs
+from strategies import KG_MUTATIONS, temporal_graphs
 from tempowl import rwl
 from tempowl.gen import fixture, random_tg
 from tempowl.errors import UnknownNode, ValidationError
@@ -230,6 +234,8 @@ _BOTH = {_A: "g", _B: "g"}
         ((_A,), {0}, {(0, _A, _B)}, {_A: "g"}, f"edge (0, {_A}, {_B}) leaves the node set"),
         ((_A, _B), {"x"}, {("x", _A, _B)}, _BOTH, "relation label 'x' is not an integer"),
         ((_A, _B), {True}, {(True, _A, _B)}, _BOTH, "relation label True is not an integer"),
+        # True == 1, so a set of labels holding 1 would hide the bool relation
+        ((_A, _B), {True}, {(1, _A, _B)}, _BOTH, "relation label True is not an integer"),
         ((_A, _B), {1.5}, {(1.5, _A, _B)}, _BOTH, "relation label 1.5 is not an integer"),
         ((_A, _B), {0}, set(), {_A: "g", _B: 1}, f"node {_B} has a non-string colour 1"),
         (
@@ -255,6 +261,7 @@ _BOTH = {_A: "g", _B: "g"}
         "edge_leaves_nodes",
         "str_label",
         "bool_label",
+        "bool_relation_beside_int_label",
         "float_label",
         "int_colour",
         "bool_time_index",
@@ -278,3 +285,14 @@ def test_kg_json_rejects_bool_time_indexes_and_non_string_colours():
     ):
         with pytest.raises(ValidationError):
             from_dict(document)
+
+
+@pytest.mark.parametrize("name", sorted(KG_MUTATIONS))
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(tg=temporal_graphs(), encode=st.sampled_from((k_glob, k_loc)), data=st.data())
+def test_each_single_kg_document_defect_is_a_typed_error(name, tg, encode, data):
+    plant, error = KG_MUTATIONS[name]
+    doc = json.loads(json.dumps(to_dict(encode(tg))))
+    plant(doc, data.draw)
+    with pytest.raises(error):
+        from_dict(json.loads(json.dumps(doc)))

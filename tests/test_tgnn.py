@@ -15,6 +15,7 @@ from tempowl.tgnn import (
     classes_at,
     embedding_equal,
     forward,
+    forward_many,
 )
 from tempowl.tgraph import Snapshot, TemporalGraph, TimestampedNode as TN
 
@@ -115,6 +116,42 @@ def test_refinement_equal_nodes_get_equal_embeddings():
                             ref = state.value(group[0], layer)
                             for tn in group[1:]:
                                 assert state.value(tn, layer) == ref
+
+
+def test_a_batch_equals_single_calls():
+    graphs = [fixture("fig2"), fixture("fig3"), *fixture("fig5_pair"), *fixture("fig6_pair")]
+    graphs += [
+        random_tg(
+            seed,
+            nodes=1 + seed % 5,
+            snapshots=1 + seed % 4,
+            edge_prob=0.5,
+            palette=("g", "b", "r")[: 1 + seed % 3],
+            colour_persistent=seed % 2 == 0,
+            uniform_grid=seed % 3 != 0,
+        )
+        for seed in range(6)
+    ]
+    # both modes and every variant, widths 1/4/8, layers 0..3, seeds 0/1/7
+    forms = [(mode, variant) for mode in tgnn.MODES for variant in tgnn.VARIANTS]
+    configs = [
+        ModelConfig(mode, k % 4, (1, 4, 8)[k % 3], variant, k % 2)
+        for k, (mode, variant) in enumerate(forms)
+    ]
+    configs += [ModelConfig(mode, 3, 4, variant, 7) for mode, variant in forms]
+    configs.insert(3, configs[0])  # a repeated config, in the middle
+    assert {c.layers for c in configs} == {0, 1, 2, 3}
+    assert {c.width for c in configs} == {1, 4, 8}
+    for tg in graphs:
+        nodes = tg.timestamped_nodes()
+        batch = forward_many(tg, configs)
+        assert len(batch) == len(configs)
+        for cfg, layers in zip(configs, batch):
+            single = forward(tg, cfg).layers
+            assert len(layers) == len(single) == cfg.layers + 1
+            for got, want in zip(layers, single):
+                assert list(got) == [want[tn] for tn in nodes], cfg
+    assert forward_many(fixture("fig2"), []) == ()
 
 
 def test_forward_is_deterministic():

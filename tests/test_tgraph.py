@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 from collections import Counter
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import MUTATIONS, parts, temporal_graphs
+from strategies import EVENT_MUTATIONS, MUTATIONS, events, parts, temporal_graphs
 from tempowl import kgraph
 from tempowl.errors import (
     EmptyEdgeSet,
@@ -337,6 +339,25 @@ def test_events_csv_round_trip():
     text = events_to_csv(events)
     assert text.splitlines()[0] == "u,v,t"
     assert events_from_csv(text) == events
+
+
+@_BOUNDARY
+@given(events())
+def test_generated_events_round_trip_through_csv(ev):
+    assert events_from_csv(events_to_csv(ev)) == ev
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_MUTATIONS))
+@_BOUNDARY
+@given(ev=events(min_size=1), data=st.data())
+def test_each_single_event_csv_defect_is_a_typed_error(name, ev, data):
+    plant, error = EVENT_MUTATIONS[name]
+    rows = [["u", "v", "t"], *([u, v, str(t)] for u, v, t in ev)]
+    plant(rows, data.draw)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    with pytest.raises(error):
+        events_from_csv(out.getvalue())
 
 
 def test_events_csv_rejects_bad_header():
