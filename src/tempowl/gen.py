@@ -36,22 +36,16 @@ class Xorshift64Star:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection to avoid modulo bias."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+        return self.randints(0, n - 1, 1)[0]
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive."""
-        return lo + self.below(hi - lo + 1)
+        return self.randints(lo, hi, 1)[0]
 
     def randints(self, lo: int, hi: int, count: int) -> list[int]:
-        """`count` draws of `randint(lo, hi)`, bit for bit, in one call.
+        """`count` uniform integers in [lo, hi], by rejection to avoid modulo bias.
 
-        The steps of `next_u64` and `below` are inlined on a local state.
+        The steps of `next_u64` run inline on a local copy of the state.
         """
         n = hi - lo + 1
         if n <= 0:

@@ -216,7 +216,8 @@ def check_soundness(trial_seed: int) -> dict | None:
     runs1 = forward_many(tg1, configs)
     runs2 = runs1 if tg2 is tg1 else forward_many(tg2, configs)
     index = [{tn: p for p, tn in enumerate(tg.timestamped_nodes())} for tg in graphs]
-    for mode, encoding in modes:
+    trials = list(zip(configs, runs1, runs2))
+    for m, (mode, encoding) in enumerate(modes):
         colouring = rwl.refine_graphs(graphs, encoding)
         # classes per layer, each member with its position in its side's
         # layers; the run is unbounded, so later layers repeat the last
@@ -227,9 +228,7 @@ def check_soundness(trial_seed: int) -> dict | None:
             ]
             for layer in range(_FUZZ_LAYERS + 1)
         ]
-        for cfg, *layers in zip(configs, runs1, runs2):
-            if cfg.mode != mode:
-                continue
+        for cfg, *layers in trials[10 * m : 10 * (m + 1)]:
             for layer, groups in enumerate(layer_classes):
                 for members in groups:
                     side0, tn0, p0 = members[0]

@@ -169,7 +169,7 @@ class _Messages(NamedTuple):
     pairs: list[list[tuple[int, int]]]  # per node, (source position, time gap)
     sources: list[list[int]]
     gap_sums: list[int]
-    gaps: list[int]  # the distinct gaps, sorted
+    gaps: frozenset[int]  # the distinct gaps
 
 
 def _messages(
@@ -190,7 +190,7 @@ def _messages(
         pairs,
         [[src for src, _ in m] for m in pairs],
         [sum(gap for _, gap in m) for m in pairs],
-        sorted({gap for m in pairs for _, gap in m}),
+        frozenset(gap for m in pairs for _, gap in m),
     )
 
 

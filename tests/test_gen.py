@@ -74,17 +74,30 @@ def test_prng_bounds_and_extremes():
         rng.below(0)
 
 
-def test_randints_equals_repeated_randint():
+def _reference_randint(rng, lo, hi):
+    # rejection sampling on `next_u64`, step by step
+    n = hi - lo + 1
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return lo + u % n
+
+
+def test_randints_is_rejection_sampling_on_next_u64():
     # (-3, 3) is the simulator's weight range; a span of 2**63 + 1 values
     # rejects about half of the raw draws
     for lo, hi in ((-3, 3), (0, 0), (0, 2**63)):
         for seed in range(51):
-            batched, single = Xorshift64Star(seed), Xorshift64Star(seed)
+            batched, ref = Xorshift64Star(seed), Xorshift64Star(seed)
             for count in (0, 1, 9):
                 assert batched.randints(lo, hi, count) == [
-                    single.randint(lo, hi) for _ in range(count)
+                    _reference_randint(ref, lo, hi) for _ in range(count)
                 ]
-                assert batched.next_u64() == single.next_u64()
+                assert batched.next_u64() == ref.next_u64()
+            assert batched.randint(lo, hi) == _reference_randint(ref, lo, hi)
+            assert batched.below(hi - lo + 1) == _reference_randint(ref, 0, hi - lo)
+            assert batched.next_u64() == ref.next_u64()
     with pytest.raises(ValueError):
         Xorshift64Star(0).randints(1, 0, 3)
 
